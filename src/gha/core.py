@@ -10,7 +10,8 @@ y^k*g(h) = sigma^k(g)*y^k together with the rewrite
 
     y * x^j = x^j * y + x^(j-1) * (sigma^j(h) - h),
 
-whose iterates (the normal forms of y^k x^j) are memoized per context.
+whose iterates (the normal forms of y^k x^j) are memoized per context,
+together with sigma^k(h), sigma^k(g) and z^k.
 """
 
 from __future__ import annotations
@@ -19,29 +20,63 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import FieldMismatch, UnsupportedCase
-from .field import FieldDesc, FieldElement
-from .poly import NEG_INF, Poly, sigma_apply, sigma_power_h
+from .field import FieldDesc, FieldElement, power
+from .poly import Poly, check_degree, sigma_apply
+
+
+class _Memo:
+    """What a Context computes once; it lives and dies with its Context."""
+
+    def __init__(self, ctx: "Context"):
+        self.sigma_h: list[Poly] = [Poly.gen(ctx.field)]  # sigma^k(h) at index k
+        self.sigma: dict[tuple[Poly, int], Poly] = {}  # (g, k) -> sigma^k(g)
+        self.yx: dict[tuple[int, int], "AlgebraElement"] = {}  # (k, j) -> y^k x^j
+        self.z: list["AlgebraElement"] = [AlgebraElement.one(ctx)]  # z^k at index k
 
 
 class Context:
-    """A fixed defining polynomial f together with its coefficient field."""
+    """A fixed defining polynomial f, its coefficient field and its memo."""
 
-    __slots__ = ("f", "field", "n", "lead_coeff", "subleading_coeff", "_yx_cache", "_z_pow_cache")
+    __slots__ = ("f", "field", "n", "_memo")
 
     def __init__(self, f: Poly):
         self.f = f
         self.field = f.field
         self.n = int(f.degree) if not f.is_zero else 0
-        self.lead_coeff = f.leading_coeff
-        self.subleading_coeff = f.coeff(self.n - 1) if self.n >= 1 else FieldElement.zero(f.field)
-        self._yx_cache: dict[tuple[int, int], "AlgebraElement"] = {}
-        self._z_pow_cache: list["AlgebraElement"] = []
+        self._memo = _Memo(self)
 
     def scalar(self, value) -> FieldElement:
         """Coerce an int, Fraction or embeddable FieldElement into the field."""
         if isinstance(value, FieldElement):
             return value.embed(self.field) if value.desc != self.field else value
         return FieldElement.rational(value, self.field)
+
+    def sigma_h(self, k: int) -> Poly:
+        """sigma^k(h); the degree cap is checked before any composition."""
+        tower = self._memo.sigma_h
+        if k >= len(tower) and self.f.degree > 1:
+            check_degree(self.f.degree ** k)
+        while len(tower) <= k:
+            tower.append(self.f.compose(tower[-1]))
+        return tower[k]
+
+    def sigma(self, g: Poly, k: int) -> Poly:
+        """sigma^k(g) = g(sigma^k(h))."""
+        if k == 0 or g.degree <= 0:
+            return g
+        memo = self._memo.sigma
+        out = memo.get((g, k))
+        if out is None:
+            # sigma^k is itself the substitution h -> sigma^k(h), applied once
+            out = memo[(g, k)] = sigma_apply(g, self.sigma_h(k), 1)
+        return out
+
+    def z_power(self, k: int) -> "AlgebraElement":
+        """z^k for the central element z = x*y - h."""
+        powers = self._memo.z
+        while len(powers) <= k:
+            powers.append(multiply(powers[-1], generators(self).z))
+        return powers[k]
 
     def embed(self, target: FieldDesc) -> "Context":
         return Context(self.f.embed(target))
@@ -139,7 +174,7 @@ class AlgebraElement:
             return NotImplemented
         out = dict(self.terms)
         for key, g in o.terms.items():
-            _add_term(out, key[0], key[1], g, self.ctx.field)
+            _add_term(out, key[0], key[1], g)
         return AlgebraElement(self.ctx, out)
 
     __radd__ = __add__
@@ -171,10 +206,7 @@ class AlgebraElement:
     def __pow__(self, e: int) -> "AlgebraElement":
         if not isinstance(e, int) or e < 0:
             raise ValueError("element exponent must be a nonnegative integer")
-        result = AlgebraElement.one(self.ctx)
-        for _ in range(e):
-            result = multiply(result, self)
-        return result
+        return power(self, e, AlgebraElement.one(self.ctx))
 
     def embed(self, target: FieldDesc) -> "AlgebraElement":
         ctx = self.ctx.embed(target)
@@ -204,7 +236,7 @@ class AlgebraElement:
         return f"<{self.to_text()}>"
 
 
-def _add_term(out: dict, i: int, k: int, g: Poly, field: FieldDesc) -> None:
+def _add_term(out: dict, i: int, k: int, g: Poly) -> None:
     cur = out.get((i, k))
     out[(i, k)] = g if cur is None else cur + g
 
@@ -224,35 +256,25 @@ def generators(ctx: Context) -> Generators:
 def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
     """Normal form of y^k x^j, memoized on the context.
 
-    y^k x^j = (y^(k-1) x^j) y + (y^(k-1) x^(j-1)) (sigma^j(h) - h).
+    y^k x^j = (y^(k-1) x^j) y + (y^(k-1) x^(j-1)) (sigma^j(h) - h), filled
+    in row by row from k = 1, so that a large k needs no deep recursion.
     """
-    key = (k, j)
-    cached = ctx._yx_cache.get(key)
+    memo = ctx._memo.yx
+    cached = memo.get((k, j))
     if cached is not None:
         return cached
-    if k == 0:
-        result = AlgebraElement(ctx, {(j, 0): Poly.one(ctx.field)})
-    elif j == 0:
-        result = AlgebraElement(ctx, {(0, k): Poly.one(ctx.field)})
-    else:
-        first = _shift_y(_y_pow_x_pow(ctx, k - 1, j))
-        corr = sigma_power_h(ctx.f, j) - Poly.gen(ctx.field)
-        second = _right_mul_poly(_y_pow_x_pow(ctx, k - 1, j - 1), corr)
-        result = first + second
-    ctx._yx_cache[key] = result
-    return result
+    one = Poly.one(ctx.field)
+    y = AlgebraElement(ctx, {(0, 1): one})
 
+    def known(r: int, c: int) -> AlgebraElement:  # x^c and y^r themselves are not stored
+        return memo[(r, c)] if r and c else AlgebraElement(ctx, {(c, r): one})
 
-def _shift_y(e: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(e.ctx, {(i, k + 1): g for (i, k), g in e.terms.items()})
-
-
-def _right_mul_poly(e: AlgebraElement, p: Poly) -> AlgebraElement:
-    """e * p(h): the poly commutes past each y^k as sigma^k(p)."""
-    out: dict[tuple[int, int], Poly] = {}
-    for (i, k), g in e.terms.items():
-        _add_term(out, i, k, g * sigma_apply(p, e.ctx.f, k), e.ctx.field)
-    return AlgebraElement(e.ctx, out)
+    for r in range(1, k + 1):
+        for c in range(max(1, j - k + r), j + 1):
+            if (r, c) not in memo:
+                corr = ctx.sigma_h(c) - Poly.gen(ctx.field)
+                memo[(r, c)] = known(r - 1, c) * y + known(r - 1, c - 1) * corr
+    return known(k, j)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -264,20 +286,20 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.ctx != b.ctx:
         raise FieldMismatch("elements live over different contexts")
     ctx = a.ctx
-    f = ctx.f
+    sigma = ctx.sigma
     out: dict[tuple[int, int], Poly] = {}
     for (i, k), g in a.terms.items():
         for (j, l), gh in b.terms.items():
             if k == 0:
-                _add_term(out, i + j, l, sigma_apply(g, f, j) * gh, ctx.field)
+                _add_term(out, i + j, l, sigma(g, j) * gh)
             elif j == 0:
-                _add_term(out, i, k + l, g * sigma_apply(gh, f, k), ctx.field)
+                _add_term(out, i, k + l, g * sigma(gh, k))
             else:
                 mid = _y_pow_x_pow(ctx, k, j)
                 for (p, q), w in mid.terms.items():
                     # x^i g (x^p w y^q) gh y^l = x^(i+p) sigma^p(g) w sigma^q(gh) y^(q+l)
-                    left = sigma_apply(g, f, p) * w
-                    _add_term(out, i + p, q + l, left * sigma_apply(gh, f, q), ctx.field)
+                    left = sigma(g, p) * w
+                    _add_term(out, i + p, q + l, left * sigma(gh, q))
     return AlgebraElement(ctx, out)
 
 
@@ -304,10 +326,10 @@ def sigma_h0(theta: AlgebraElement) -> AlgebraElement:
     for (i, k), g in theta.terms.items():
         if i != k:
             raise UnsupportedCase("sigma is defined only on the degree-0 subalgebra")
-        _add_term(out, k, k, sigma_apply(g, ctx.f, 1), ctx.field)
+        _add_term(out, k, k, ctx.sigma(g, 1))
         if k:
-            corr = (sigma_power_h(ctx.f, k) - Poly.gen(ctx.field)) * g
-            _add_term(out, k - 1, k - 1, corr, ctx.field)
+            corr = (ctx.sigma_h(k) - Poly.gen(ctx.field)) * g
+            _add_term(out, k - 1, k - 1, corr)
     return AlgebraElement(ctx, out)
 
 

@@ -48,6 +48,18 @@ def euler_phi(m: int) -> int:
     return result
 
 
+def power(base, e: int, one):
+    """base^e for e >= 0 by square-and-multiply; one is the unit of base's ring."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 def _list_trim(a: list[Fraction]) -> list[Fraction]:
     while a and not a[-1]:
         a.pop()
@@ -310,15 +322,7 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = FieldElement.one(self.desc)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, FieldElement.one(self.desc))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -14,7 +14,6 @@ with a^(n-1) = 1 and b = (a - 1)*a_{n-1} / (n*a_n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import AlgebraElement, Context, generators, homogeneous_parts, multiply
 from .errors import FieldMismatch, UnsupportedCase
@@ -218,8 +217,8 @@ def automorphism_group(ctx: Context) -> AutGroup:
     for d in divisors(n - 1):
         desc = base if d <= 2 else base.join(FieldDesc(d))
         a = _root_of_unity(desc, d)
-        lead = ctx.lead_coeff.embed(desc)
-        sub = ctx.subleading_coeff.embed(desc)
+        lead = ctx.f.leading_coeff.embed(desc)
+        sub = ctx.f.coeff(n - 1).embed(desc)
         b = (a - 1) * sub / (lead * n)
         if x_fixing_pair_is_valid(ctx.f, a, b):
             if best is None or d > best[0]:

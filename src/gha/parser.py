@@ -4,18 +4,21 @@ Grammar, loosest to tightest binding: '+'/'-' < '*' < unary '-' < '^'.
 '*' is noncommutative and operand order is preserved.  Exponents are
 literal nonnegative integers.  'z' is input sugar for x*y - h; printed
 output never uses it.  Polynomial inputs (the --f flag) additionally
-allow implicit multiplication, as in '2h^3 - h'.
+allow implicit multiplication, as in '2h^3 - h'.  Parentheses nest at
+most MAX_NESTING deep.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Union
 
 from .core import AlgebraElement, Context, generators
 from .errors import ParseError
-from .field import FieldDesc, FieldElement
+from .field import RATIONALS, FieldDesc, FieldElement
 from .poly import Poly
 
 Expr = Union["Num", "Sym", "Add", "Sub", "Mul", "Neg", "Pow"]
@@ -69,6 +72,9 @@ class _Token:
 
 _ELEMENT_NAMES = ("x", "y", "h", "z", "zeta")
 _POLY_NAMES = ("h", "zeta")
+# the parser recurses a fixed number of frames per parenthesis level, so
+# this bound keeps it well inside the interpreter's recursion limit
+MAX_NESTING = 100
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -103,6 +109,7 @@ class _Parser:
         self.pos = 0
         self.names = names
         self.implicit_mul = implicit_mul
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -135,11 +142,14 @@ class _Parser:
                 return node
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+        signs = 0
+        while self.peek().kind == "OP" and self.peek().text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            signs += 1
+        node = self.power()
+        for _ in range(signs):
+            node = Neg(node)
+        return node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -174,8 +184,12 @@ class _Parser:
             self.advance()
             return Sym(tok.text)
         if tok.kind == "OP" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(tok.pos, {f"at most {MAX_NESTING} nested parentheses"}, tok.text)
             self.advance()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             closing = self.peek()
             if not (closing.kind == "OP" and closing.text == ")"):
                 raise ParseError(closing.pos, {"')'"}, closing.text)
@@ -184,9 +198,8 @@ class _Parser:
         raise ParseError(tok.pos, {"integer", "'('"} | set(self.names), tok.text)
 
 
-def parse(text: str) -> Expr:
-    """Parse an element expression over x, y, h, z, zeta and rationals."""
-    parser = _Parser(_tokenize(text), _ELEMENT_NAMES, implicit_mul=False)
+def _parse(text: str, names: tuple[str, ...], implicit_mul: bool) -> Expr:
+    parser = _Parser(_tokenize(text), names, implicit_mul)
     node = parser.expr()
     tail = parser.peek()
     if tail.kind != "END":
@@ -194,63 +207,60 @@ def parse(text: str) -> Expr:
     return node
 
 
+def parse(text: str) -> Expr:
+    """Parse an element expression over x, y, h, z, zeta and rationals."""
+    return _parse(text, _ELEMENT_NAMES, implicit_mul=False)
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _fold(node: Expr, names: dict, lift, field: FieldDesc):
+    """Evaluate a tree bottom-up; names maps each variable to its value.
+
+    Numbers and zeta become values through lift.  An explicit stack
+    stands in for recursion, so long sums or products cost no call depth.
+    """
+    todo: list = [(node, False)]
+    values: list = []
+    while todo:
+        item, ready = todo.pop()
+        match item:
+            case Num(value):
+                values.append(lift(value))
+            case Sym("zeta"):
+                values.append(lift(FieldElement.zeta(field)))
+            case Sym(name):
+                values.append(names[name])
+            case Neg(operand) | Pow(operand, _) if not ready:
+                todo += ((item, True), (operand, False))
+            case Add(left, right) | Sub(left, right) | Mul(left, right) if not ready:
+                todo += ((item, True), (right, False), (left, False))
+            case Neg():
+                values.append(-values.pop())
+            case Pow(_, exponent):
+                values.append(values.pop() ** exponent)
+            case Add() | Sub() | Mul():
+                right = values.pop()
+                values.append(_BINARY[type(item)](values.pop(), right))
+            case _:
+                raise TypeError(f"not an expression node: {item!r}")
+    return values.pop()
+
+
 def evaluate(node: Expr, ctx: Context) -> AlgebraElement:
     """Fold an expression tree into a normal form over the context."""
-    gens = generators(ctx)
-    match node:
-        case Num(value):
-            return AlgebraElement.from_scalar(ctx, value)
-        case Sym("zeta"):
-            return AlgebraElement.from_scalar(ctx, FieldElement.zeta(ctx.field))
-        case Sym(name):
-            return getattr(gens, name)
-        case Add(left, right):
-            return evaluate(left, ctx) + evaluate(right, ctx)
-        case Sub(left, right):
-            return evaluate(left, ctx) - evaluate(right, ctx)
-        case Mul(left, right):
-            return evaluate(left, ctx) * evaluate(right, ctx)
-        case Neg(operand):
-            return -evaluate(operand, ctx)
-        case Pow(base, exponent):
-            return evaluate(base, ctx) ** exponent
-    raise TypeError(f"not an expression node: {node!r}")
+    lift = partial(AlgebraElement.from_scalar, ctx)
+    return _fold(node, generators(ctx)._asdict(), lift, ctx.field)
 
 
 def parse_element(text: str, ctx: Context) -> AlgebraElement:
     return evaluate(parse(text), ctx)
 
 
-def _eval_poly(node: Expr, field: FieldDesc) -> Poly:
-    match node:
-        case Num(value):
-            return Poly.constant(field, value)
-        case Sym("h"):
-            return Poly.gen(field)
-        case Sym("zeta"):
-            return Poly.constant(field, FieldElement.zeta(field))
-        case Add(left, right):
-            return _eval_poly(left, field) + _eval_poly(right, field)
-        case Sub(left, right):
-            return _eval_poly(left, field) - _eval_poly(right, field)
-        case Mul(left, right):
-            return _eval_poly(left, field) * _eval_poly(right, field)
-        case Neg(operand):
-            return -_eval_poly(operand, field)
-        case Pow(base, exponent):
-            return _eval_poly(base, field) ** exponent
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def parse_poly(text: str, field: FieldDesc = None) -> Poly:
     """Parse a polynomial in h; '*' may be left implicit ('2h^3 - h')."""
-    from .field import RATIONALS
-
     if field is None:
         field = RATIONALS
-    parser = _Parser(_tokenize(text), _POLY_NAMES, implicit_mul=True)
-    node = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "END":
-        raise ParseError(tail.pos, {"operator", "end of input"}, tail.text)
-    return _eval_poly(node, field)
+    node = _parse(text, _POLY_NAMES, implicit_mul=True)
+    return _fold(node, {"h": Poly.gen(field)}, partial(Poly.constant, field), field)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
-from .field import RATIONALS, FieldDesc, FieldElement
+from .field import FieldDesc, FieldElement, power
 
 NEG_INF = float("-inf")
 
@@ -42,7 +41,8 @@ def set_degree_cap(cap: int) -> None:
     _degree_cap = cap
 
 
-def _check_degree(d) -> None:
+def check_degree(d) -> None:
+    """Raise DegreeCapExceeded if a result of degree d would pass the cap."""
     if d != NEG_INF and d > _degree_cap:
         raise DegreeCapExceeded(f"result degree {d} exceeds the cap {_degree_cap}")
 
@@ -152,7 +152,7 @@ class Poly:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Poly.zero(self.field)
-        _check_degree(self.degree + o.degree)
+        check_degree(self.degree + o.degree)
         if self.field.is_rational:
             return self._mul_rational(o)
         out = [FieldElement.zero(self.field)] * (len(self.coeffs) + len(o.coeffs) - 1)
@@ -183,19 +183,9 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        if e == 0:
-            return Poly.one(self.field)
         if self.degree >= 1:
-            _check_degree(self.degree * e)
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+            check_degree(self.degree * e)
+        return power(self, e, Poly.one(self.field))
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -247,7 +237,7 @@ class Poly:
         if o is None:
             raise TypeError("compose expects a polynomial")
         if self.degree >= 1 and o.degree >= 1:
-            _check_degree(self.degree * o.degree)
+            check_degree(self.degree * o.degree)
         acc = Poly.zero(self.field)
         for c in reversed(self.coeffs):
             acc = acc * o + c
@@ -302,23 +292,21 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return p.monic()
 
 
-@lru_cache(maxsize=None)
-def _sigma_power_cached(f: Poly, k: int) -> Poly:
-    if k == 0:
-        return Poly.gen(f.field)
-    if f.degree > 1:
-        _check_degree(f.degree ** k)  # prospective, before any huge intermediate
-    return f.compose(_sigma_power_cached(f, k - 1))
-
-
 def sigma_power_h(f: Poly, k: int) -> Poly:
     """sigma^k(h) for the endomorphism sigma(h) = f(h); sigma^0(h) = h.
 
-    Cached per (f, k); the cache is idempotent, so concurrent reads are safe.
+    Nothing is cached here: a Context memoizes the iterates it uses.
     """
     if k < 0:
         raise ValueError("sigma power must be nonnegative")
-    return _sigma_power_cached(f, k)
+    if k == 0:
+        return Poly.gen(f.field)
+    if f.degree > 1:
+        check_degree(f.degree ** k)  # prospective, before any huge intermediate
+    s = f
+    for _ in range(k - 1):
+        s = f.compose(s)
+    return s
 
 
 def sigma_apply(g: Poly, f: Poly, k: int) -> Poly:

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import AlgebraElement, Context, generators, multiply
+from .core import AlgebraElement, Context, multiply
 from .errors import UnsupportedCase
-from .field import FieldElement
-from .poly import NEG_INF, Poly, compose_mod, decompose_as_polynomial_in, poly_gcd, sigma_power_h
+from .field import FieldElement, divisors
+from .poly import NEG_INF, Poly, compose_mod, decompose_as_polynomial_in, poly_gcd
 
 
 class CenterKind(Enum):
@@ -111,40 +111,18 @@ def find_shift_root(f: Poly) -> FieldElement | None:
     for c in coeffs:
         denom = math.lcm(denom, c.denominator)
     ints = [int(c * denom) for c in coeffs]
-    for num in _int_divisors(abs(ints[0])):
-        for den in _int_divisors(abs(ints[-1])):
+    for num in divisors(abs(ints[0])):
+        for den in divisors(abs(ints[-1])):
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 if p(FieldElement.rational(cand, f.field)).is_zero:
                     return FieldElement.rational(cand, f.field)
     return None
 
 
-def _int_divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def shift_polynomial(f: Poly, alpha: FieldElement) -> Poly:
     """F(h) = f(h + alpha) - alpha; when f(alpha) = alpha, F(0) = 0."""
     line = Poly(f.field, (alpha, 1))
     return f.compose(line) - Poly.constant(f.field, alpha)
-
-
-def _z_power(ctx: Context, k: int) -> AlgebraElement:
-    cache = ctx._z_pow_cache
-    if not cache:
-        cache.append(AlgebraElement.one(ctx))
-    z = generators(ctx).z
-    while len(cache) <= k:
-        cache.append(multiply(cache[-1], z))
-    return cache[k]
 
 
 def center_membership(a: AlgebraElement) -> Poly | None:
@@ -168,7 +146,7 @@ def center_membership(a: AlgebraElement) -> Poly | None:
             return None
         c = g.coeff(0)
         coeffs[top] = c
-        rem = rem - _z_power(ctx, top) * c
+        rem = rem - ctx.z_power(top) * c
     size = max(coeffs) + 1 if coeffs else 0
     return Poly(ctx.field, (coeffs.get(j, 0) for j in range(size)))
 
@@ -190,11 +168,11 @@ def zh_membership(a: AlgebraElement) -> dict[int, Poly] | None:
     while rem.terms:
         top = max(i for (i, _) in rem.terms)
         g = rem.terms[(top, top)]
-        p_top = decompose_as_polynomial_in(g, sigma_power_h(ctx.f, top))
+        p_top = decompose_as_polynomial_in(g, ctx.sigma_h(top))
         if p_top is None:
             return None
         out[top] = p_top
-        rem = rem - multiply(AlgebraElement.from_poly(ctx, p_top), _z_power(ctx, top))
+        rem = rem - multiply(AlgebraElement.from_poly(ctx, p_top), ctx.z_power(top))
     return {k: out[k] for k in sorted(out)}
 
 
@@ -241,6 +219,4 @@ def admissible_generator_gradings(ctx: Context) -> GradingFamily:
     """
     if not ctx.f.degree > 1:
         raise UnsupportedCase("grading analysis requires deg f > 1")
-    forcing = [j - 1 for j in _support(ctx.f) if j != 1]
-    assert forcing, "deg f > 1 guarantees a constraint forcing d_h = 0"
     return GradingFamily()

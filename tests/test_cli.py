@@ -235,3 +235,22 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(h^2 - h) + x^1 * (1) * y^1"
+
+
+def test_deep_nesting_is_syntax_error(capsys):
+    deep = "(" * 5000 + "x" + ")" * 5000
+    code, out, err = invoke(capsys, "--f", "h^2", "nf", deep)
+    assert code == 2 and out == ""
+    assert "syntax error at offset 100" in err
+
+
+def test_huge_generator_exponent_is_immediate(capsys):
+    code, out, _ = invoke(capsys, "--f", "h^2", "nf", "x^100000000")
+    assert code == 0
+    assert out == "x^100000000 * (1)"
+
+
+def test_huge_h_exponent_hits_the_cap(capsys):
+    code, out, err = invoke(capsys, "--f", "h^2", "nf", "h^100000000")
+    assert code == 1 and out == ""
+    assert "exceeds the cap" in err

@@ -1,6 +1,8 @@
 """Normal forms and multiplication on the x^i h^j y^k basis."""
 
+import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from gha.core import (
     multiply,
     sigma_h0,
 )
-from gha.errors import FieldMismatch, UnsupportedCase
+from gha.errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
 from gha.field import FieldDesc, FieldElement
 from gha.parser import parse_element, parse_poly
 from gha.poly import Poly, sigma_power_h
@@ -94,6 +96,9 @@ def test_power_and_identity(ctx):
     assert x ** 0 == AlgebraElement.one(ctx)
     assert x ** 3 == x * x * x
     assert (y * x) ** 2 == y * x * y * x
+    a = y * x + generators(ctx).h
+    assert a ** 5 == a * a * a * a * a
+    assert x ** 10 ** 8 == AlgebraElement(ctx, {(10 ** 8, 0): Poly.one(ctx.field)})
     with pytest.raises(ValueError):
         x ** -1
 
@@ -278,3 +283,49 @@ def test_to_text_orders_terms(ctx):
     e = parse_element("y^2 + x*h*y + h + x^3", ctx)
     assert e.to_text() == "(h) + (1) * y^2 + x^1 * (h) * y^1 + x^3 * (1)"
     assert AlgebraElement.zero(ctx).to_text() == "0"
+
+
+def test_memo_lives_and_dies_with_its_context():
+    f = parse_poly("h^3 + h")
+    before = sys.getrefcount(f)
+    ctx = Context(f)
+    gens = generators(ctx)
+    product = gens.y ** 3 * gens.x ** 3
+    assert sys.getrefcount(f) > before
+    del ctx, gens, product
+    gc.collect()
+    assert sys.getrefcount(f) == before
+
+
+def test_warm_memo_gives_the_cold_normal_forms():
+    cold = ctx_for("h^3 + h")
+    warm = ctx_for("h^3 + h")
+    xw, yw, hw, zw = generators(warm)
+    for a, b in ((yw ** 2 * hw, xw ** 3), (zw ** 2, hw * yw * xw ** 2), (yw * hw ** 2, xw * hw)):
+        multiply(a, b)  # fills the memo of warm only
+    for text in ("y^3*h*x^3", "(x*h*y^2)*(y*x^2 + h)", "z^3 - h*z*h"):
+        w, c = parse_element(text, warm), parse_element(text, cold)
+        assert w == c and w.to_text() == c.to_text()
+
+
+def test_context_sigma_matches_poly_sigma_power():
+    ctx = ctx_for("h^3 + h + 1")
+    g = parse_poly("h^2 - 3*h")
+    for k in range(4):
+        assert ctx.sigma_h(k) == sigma_power_h(ctx.f, k)
+        assert ctx.sigma(g, k) == g.compose(sigma_power_h(ctx.f, k))
+
+
+def test_context_sigma_cap_is_prospective():
+    ctx = ctx_for("h^4")
+    with pytest.raises(DegreeCapExceeded):
+        ctx.sigma_h(40)  # 4^40: refused before any composition
+    assert ctx.sigma_h(2) == parse_poly("h^16")
+
+
+def test_linear_f_high_powers_need_no_recursion():
+    ctx = ctx_for("2h")
+    x, y, _, _ = generators(ctx)
+    gap = Poly(ctx.field, (0, 2 ** 1500 - 1))  # sigma^1500(h) - h
+    assert commutator(y, x ** 1500) == AlgebraElement(ctx, {(1499, 0): gap})
+    assert commutator(y ** 1500, x) == AlgebraElement(ctx, {(0, 1499): gap})

@@ -8,7 +8,7 @@ import pytest
 from gha.core import AlgebraElement, Context, generators
 from gha.errors import ParseError
 from gha.field import FieldDesc, FieldElement, RATIONALS
-from gha.parser import Add, Mul, Num, Pow, Sym, parse, parse_element, parse_poly
+from gha.parser import MAX_NESTING, Add, Mul, Num, Pow, Sym, parse, parse_element, parse_poly
 
 from .helpers import random_element
 
@@ -152,6 +152,8 @@ def test_parse_poly_rejects_element_names():
         parse_poly("x^2")
     with pytest.raises(ParseError):
         parse_poly("z + h")
+    with pytest.raises(ParseError):
+        parse_poly("y*h")
 
 
 def test_parse_poly_with_zeta():
@@ -172,3 +174,24 @@ def test_empty_input_rejected(ctx):
         parse_element("", ctx)
     with pytest.raises(ParseError):
         parse_poly("   ")
+
+
+def test_nesting_bound(ctx):
+    x = generators(ctx).x
+    assert parse_element("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, ctx) == x
+    with pytest.raises(ParseError) as info:
+        parse_element("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), ctx)
+    assert info.value.pos == MAX_NESTING
+    with pytest.raises(ParseError) as info:
+        parse_poly("(" * 5000 + "h" + ")" * 5000)
+    assert info.value.pos == MAX_NESTING
+
+
+def test_long_chains_fold_without_recursion(ctx):
+    x, y, h, _ = generators(ctx)
+    n = 5000
+    assert parse_element("+".join(["x"] * n), ctx) == x * n
+    assert parse_element("y" + "*h" * 20 + "-h" * n, ctx) == y * h ** 20 - h * n
+    assert parse_element("x" + "^1" * n, ctx) == x
+    assert parse_element("-" * (n + 1) + "y", ctx) == -y
+    assert parse_poly("h" + "+1" * n) == parse_poly(f"h + {n}")
