@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import FieldMismatch, UnsupportedCase
 from .field import FieldDesc, FieldElement, power
-from .poly import Poly, check_degree, sigma_apply
+from .poly import Poly, check_degree_power, sigma_apply
 
 
 class _Memo:
@@ -55,7 +55,7 @@ class Context:
         """sigma^k(h); the degree cap is checked before any composition."""
         tower = self._memo.sigma_h
         if k >= len(tower) and self.f.degree > 1:
-            check_degree(self.f.degree ** k)
+            check_degree_power(self.f.degree, k)
         while len(tower) <= k:
             tower.append(self.f.compose(tower[-1]))
         return tower[k]
@@ -263,6 +263,7 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
     cached = memo.get((k, j))
     if cached is not None:
         return cached
+    check_degree_power(ctx.n, k + j - 1)  # n > 1: exact degree of the x^(j-1) y^(k-1) term
     one = Poly.one(ctx.field)
     y = AlgebraElement(ctx, {(0, 1): one})
 

@@ -1,9 +1,16 @@
-"""Exact scalars: the rationals Q and the cyclotomic extensions Q(zeta_m).
+"""Exact scalars, the rationals Q and the cyclotomic extensions Q(zeta_m),
+and the integer kernel that does the arithmetic of scalars and polynomials.
 
 An element of Q(zeta_m) is stored by its coordinates with respect to the
 power basis {zeta^j : 0 <= j < phi(m)}, always reduced modulo the m-th
 cyclotomic polynomial, so equality is a plain coordinate comparison.
 m = 1 is identified with Q itself (length-1 coordinate vectors).
+
+The kernel holds a vector of rationals as a list of Python ints over one
+positive common denominator.  A polynomial is a flat list of rows of phi(m)
+ints, the coordinates of each coefficient, packed with stride phi; a scalar
+is a single row and Q is the case phi = 1.  Canonical pairs (num, den) have
+gcd(num..., den) = 1, so equal values are equal pairs.
 """
 
 from __future__ import annotations
@@ -11,12 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import FieldMismatch, NoEmbedding, UnsupportedCase
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def divisors(m: int) -> list[int]:
@@ -33,19 +39,26 @@ def divisors(m: int) -> list[int]:
 
 
 def euler_phi(m: int) -> int:
-    """Euler's totient function."""
+    """Euler's totient function, m times (1 - 1/p) over the primes p of m."""
     result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for p in (d for d in divisors(m) if len(divisors(d)) == 2):
+        result -= result // p
     return result
+
+
+def signed_sum(pieces: list[tuple[int, str]]) -> str:
+    """Join (sign, text) pairs as 'a - b + c'."""
+    (sign, text), rest = pieces[0], pieces[1:]
+    return ("-" if sign < 0 else "") + text + "".join(
+        f" - {t}" if s < 0 else f" + {t}" for s, t in rest)
+
+
+def monomial(coeff: str, var: str, j: int) -> str:
+    """coeff * var^j as text, leaving out var^0 and a coefficient of 1."""
+    if j == 0:
+        return coeff
+    pv = var if j == 1 else f"{var}^{j}"
+    return pv if coeff == "1" else f"{coeff}*{pv}"
 
 
 def power(base, e: int, one):
@@ -60,82 +73,163 @@ def power(base, e: int, one):
     return result
 
 
-def _list_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
+# --- the coefficient kernel ------------------------------------------------
 
 
-def _list_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _lift(values) -> tuple[list[int], int]:
+    """Ints or Fractions as integer numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _lowest(num: list[int], den: int) -> tuple[list[int], int]:
+    """Divide numerators and denominator by their gcd, leaving the denominator positive."""
+    g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+    return ([v // g for v in num], den // g) if g != 1 else (num, den)
+
+
+def _trim(num: list[int], phi: int) -> list[int]:
+    """Drop trailing rows that are zero."""
+    end = len(num)
+    while end and not any(num[end - phi:end]):
+        end -= phi
+    return num[:end]
+
+
+def _add(a: list[int], da: int, b: list[int], db: int) -> tuple[list[int], int]:
+    """a/da + b/db over the least common denominator, not yet in lowest terms."""
+    den = math.lcm(da, db)
+    a, b = [v * (den // da) for v in a], [v * (den // db) for v in b]
+    if len(a) < len(b):
+        a, b = b, a
+    a[:len(b)] = [x + y for x, y in zip(a, b)]
+    return a, den
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Integer convolution, one slice-wise sweep of the longer operand per entry of the shorter."""
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + n] = [s + y * x for s, x in zip(out[j:j + n], a)]
+    return out
+
+
+def _restride(num: list[int], old: int, new: int, rows: int) -> list[int]:
+    """The first rows rows of num, moved from stride old to stride new (cut or zero-padded)."""
+    if old == new:
+        return num
+    out = [0] * (rows * new)
+    for j in range(min(old, new)):
+        out[j::new] = num[j:rows * old:old]
+    return out
+
+
+def _reduce(num: list[int], field: "FieldDesc", stride: int) -> list[int]:
+    """Rows of stride >= phi ints reduced mod Phi_m and packed again at stride phi.
+
+    zeta^e = -sum c_t zeta^(e - phi + t), applied from the top power down
+    through the nonzero terms of Phi_m only.
+    """
+    phi = field.degree
+    terms = [(t, c) for t, c in enumerate(_cyclotomic_ints(field.m)[:-1]) if c]
+    for e in range(stride - 1, phi - 1, -1):  # a pass writes lower powers only
+        for i in range(e, len(num), stride):
+            c = num[i]
+            if c:
+                for t, p in terms:
+                    num[i - phi + t] -= p * c
+    return _restride(num, stride, phi, len(num) // stride)
+
+
+def _mul(a: list[int], b: list[int], field: "FieldDesc") -> list[int]:
+    """Product of packed integer rows: one 1-D convolution, then reduction mod Phi_m.
+
+    Rows are spread to stride 2*phi - 1 first, so that the zeta powers of a
+    product of two rows (up to 2*phi - 2) never reach the next row.
+    """
     if not a or not b:
         return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _list_trim(out)
+    phi = field.degree
+    stride = 2 * phi - 1
+    wide = [_restride(v, phi, stride, len(v) // phi) for v in (a, b)]
+    return _reduce(_convolve(*wide), field, stride)
 
 
-def _list_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
-    return _list_trim(out)
+def _divmod(a: list[int], da: int, b: list[int], db: int, field: "FieldDesc"):
+    """((q, dq), (r, dr)) with a/da = (q/dq)(b/db) + r/dr; b is trimmed and nonzero.
+
+    b is made monic first, as M/e with integer rows and lead row (e, 0, ...).
+    Scaling a by e^k up front (k quotient rows) keeps every step an exact
+    integer division by e, with no rescaling of the remainder.
+    """
+    phi = field.degree
+    if len(a) < len(b):
+        return ([], 1), (a, da)
+    inv, dinv = _inverse(b[-phi:], db, field)
+    mon, e = _lowest(_mul(b, inv, field), db * dinv)
+    k = (len(a) - len(b)) // phi + 1
+    rem = [v * e ** k for v in a]
+    quot = [0] * (k * phi)
+    for s in range(k * phi - phi, -1, -phi):
+        top = s + len(b) - phi
+        q = [v // e for v in rem[top:top + phi]]
+        if any(q):
+            quot[s:s + phi] = q
+            sub = _mul(q, mon, field)
+            rem[s:s + len(sub)] = [x - y for x, y in zip(rem[s:s + len(sub)], sub)]
+    # e^k a = quot * mon + rem; the quotient by b itself is quot * lc(b)^-1
+    scale = e ** (k - 1) * da
+    q = _lowest(_mul(quot, inv, field), scale * dinv)
+    r = _lowest(_trim(rem[:len(b) - phi], phi), scale * e)
+    return q, r
 
 
-def _list_divmod(num, den):
-    """Quotient and remainder of ascending coefficient lists."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dn:
-        return [], _list_trim(num)
-    quot = [_ZERO] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / lead
-        if c:
-            quot[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    return _list_trim(quot), _list_trim(num[:dn])
+def _inverse(a: list[int], da: int, field: "FieldDesc") -> tuple[list[int], int]:
+    """The inverse of the row a/da, by the extended Euclidean algorithm mod Phi_m.
+
+    Keeps r_i = s_i*Phi_m + t_i*a over Q; Phi_m is irreducible, so the loop
+    ends at a nonzero constant r_1 and t_1 / r_1 is the inverse.
+    """
+    r0, d0 = list(_cyclotomic_ints(field.m)), 1
+    r1, d1 = _trim(list(a), 1), da
+    if not r1:
+        raise ZeroDivisionError("inversion of zero field element")
+    t0, e0, t1, e1 = [], 1, [1], 1
+    while len(r1) > 1:
+        (q, dq), (r, dr) = _divmod(r0, d0, r1, d1, RATIONALS)
+        r0, d0, r1, d1 = r1, d1, r, dr
+        qt = _mul(q, t1, RATIONALS)
+        t0, e0, (t1, e1) = t1, e1, _lowest(*_add(t0, e0, [-v for v in qt], dq * e1))
+    num = [v * d1 for v in _trim(t1, 1)]
+    return _lowest(num + [0] * (field.degree - len(num)), e1 * r1[0])
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_coeffs(m: int) -> tuple[Fraction, ...]:
-    """Ascending coefficients of the m-th cyclotomic polynomial Phi_m.
+def _cyclotomic_ints(m: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of Phi_m.
 
-    Computed by exact division of t^m - 1 by the product of Phi_d over
-    the proper divisors d of m.
+    From Phi_1 = t - 1, one prime p of m at a time: Phi_(np)(t) is
+    Phi_n(t^p) when p divides n, and Phi_n(t^p) / Phi_n(t) when it does not.
     """
     if m < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    num = [_ZERO] * (m + 1)
-    num[0], num[m] = -_ONE, _ONE
-    for d in divisors(m):
-        if d < m:
-            quot, rem = _list_divmod(num, list(cyclotomic_coeffs(d)))
-            assert not rem, "cyclotomic division must be exact"
-            num = quot
+    num, n = [-1, 1], 1
+    while n < m:
+        p = divisors(m // n)[1]  # the least prime factor of m / n
+        up = [0] * ((len(num) - 1) * p + 1)
+        up[::p] = num
+        num = up if n % p == 0 else _divmod(up, 1, num, 1, RATIONALS)[0][0]
+        n *= p
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
-def _power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Coordinates of t^e mod Phi_m for 0 <= e <= max(m, 2*phi(m) - 2)."""
-    phi = euler_phi(m)
-    top = max(m, 2 * phi - 2)
-    mod = cyclotomic_coeffs(m)
-    rows: list[tuple[Fraction, ...]] = [
-        tuple(_ONE if j == e else _ZERO for j in range(phi)) for e in range(phi)
-    ]
-    for e in range(phi, top + 1):
-        prev = rows[e - 1]
-        carry = prev[phi - 1]
-        shifted = (_ZERO,) + prev[: phi - 1]
-        rows.append(tuple(shifted[j] - carry * mod[j] for j in range(phi)))
-    return tuple(rows)
+def cyclotomic_coeffs(m: int) -> tuple[Fraction, ...]:
+    """Ascending coefficients of the m-th cyclotomic polynomial Phi_m."""
+    return tuple(Fraction(c) for c in _cyclotomic_ints(m))
 
 
 @dataclass(frozen=True)
@@ -152,7 +246,7 @@ class FieldDesc:
     def is_rational(self) -> bool:
         return self.m == 1
 
-    @property
+    @cached_property
     def degree(self) -> int:
         """Dimension phi(m) over Q."""
         return euler_phi(self.m)
@@ -209,7 +303,13 @@ class FieldElement:
     @staticmethod
     def zeta_power(desc: FieldDesc, e: int) -> "FieldElement":
         e %= desc.m
-        return FieldElement(desc, _power_table(desc.m)[e])
+        row = [0] * max(e + 1, desc.degree)
+        row[e] = 1
+        return FieldElement._from_ints(desc, _reduce(row, desc, len(row)), 1)
+
+    @staticmethod
+    def _from_ints(desc: FieldDesc, num: list[int], den: int) -> "FieldElement":
+        return FieldElement(desc, tuple(Fraction(v, den) for v in num))
 
     # --- predicates ----------------------------------------------------
     @property
@@ -263,47 +363,15 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.desc.degree
-        if n == 1:
-            return FieldElement(self.desc, (self.coords[0] * o.coords[0],))
-        prod = [_ZERO] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        prod[i + j] += a * b
-        table = _power_table(self.desc.m)
-        out = prod[:n]
-        for e in range(n, 2 * n - 1):
-            c = prod[e]
-            if c:
-                row = table[e]
-                for j in range(n):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return FieldElement(self.desc, tuple(out))
+        a, da = _lift(self.coords)
+        b, db = _lift(o.coords)
+        return FieldElement._from_ints(self.desc, _mul(a, b, self.desc), da * db)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_m."""
-        if self.is_zero:
-            raise ZeroDivisionError("inversion of zero field element")
-        n = self.desc.degree
-        if n == 1:
-            return FieldElement(self.desc, (1 / self.coords[0],))
-        # maintain r_i = s_i*Phi + t_i*self; Phi_m is irreducible over Q,
-        # so the loop ends at a nonzero constant remainder
-        r0, r1 = list(cyclotomic_coeffs(self.desc.m)), _list_trim(list(self.coords))
-        t0, t1 = [], [_ONE]
-        while len(r1) > 1:
-            q, r = _list_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _list_sub(t0, _list_mul(q, t1))
-        c = r1[0]
-        inv = [v / c for v in t1]
-        inv += [_ZERO] * (n - len(inv))
-        return FieldElement(self.desc, tuple(inv))
+        return FieldElement._from_ints(self.desc, *_inverse(*_lift(self.coords), self.desc))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -341,52 +409,22 @@ class FieldElement:
             return self
         if not self.desc.embeds_into(target):
             raise NoEmbedding(f"{self.desc} does not embed into {target}")
-        step = target.m // self.desc.m
-        out = FieldElement.zero(target)
-        for j, c in enumerate(self.coords):
-            if c:
-                out = out + FieldElement.zeta_power(target, j * step) * c
-        return out
+        num, den = _lift(self.coords)  # zeta_m^j is zeta_M^(j*M/m)
+        row = _restride(num, 1, target.m // self.desc.m, len(num))
+        return FieldElement._from_ints(target, _reduce(row, target, len(row)), den)
 
     # --- display --------------------------------------------------------
-    def _terms_desc(self) -> list[tuple[int, Fraction]]:
-        return [(j, self.coords[j]) for j in range(len(self.coords) - 1, -1, -1)
-                if self.coords[j]]
-
-    def _display(self) -> tuple[int, str, bool]:
-        """(sign, magnitude text, atomic).  Composite values report sign +1
-        and need parentheses when used as a factor."""
-        ts = self._terms_desc()
-        if not ts:
-            return 1, "0", True
-        if len(ts) == 1:
-            j, c = ts[0]
-            sign = -1 if c < 0 else 1
-            mag = -c if c < 0 else c
-            if j == 0:
-                return sign, str(mag), True
-            sym = "zeta" if j == 1 else f"zeta^{j}"
-            return sign, (sym if mag == 1 else f"{mag}*{sym}"), True
-        return 1, str(self), False
+    def _terms_desc(self) -> list[tuple[int, str]]:
+        """(sign, magnitude text) of each nonzero term, highest zeta power first."""
+        out = []
+        for j in range(len(self.coords) - 1, -1, -1):
+            c = self.coords[j]
+            if c:
+                out.append((-1 if c < 0 else 1, monomial(str(abs(c)), "zeta", j)))
+        return out
 
     def __str__(self):
-        ts = self._terms_desc()
-        if not ts:
-            return "0"
-        out = []
-        for idx, (j, c) in enumerate(ts):
-            neg = c < 0
-            mag = -c if neg else c
-            if j == 0:
-                body = str(mag)
-            else:
-                sym = "zeta" if j == 1 else f"zeta^{j}"
-                body = sym if mag == 1 else f"{mag}*{sym}"
-            if idx == 0:
-                out.append(f"-{body}" if neg else body)
-            else:
-                out.append(f" - {body}" if neg else f" + {body}")
-        return "".join(out)
+        return signed_sum(self._terms_desc()) if any(self.coords) else "0"
 
     def __repr__(self):
         return str(self)

@@ -170,10 +170,8 @@ def derivation_power_bounded(d: DerivationSpec, a: AlgebraElement, max_iter: int
 
 def x_fixing_pair_is_valid(f: Poly, a: FieldElement, b: FieldElement) -> bool:
     """Exact test of f(a*h + b) = a*f(h) + b over the pair's field."""
-    field = a.desc
-    fe = f.embed(field)
-    line = Poly(field, (b, a))
-    return fe.compose(line) == fe * a + Poly.constant(field, b)
+    fe = f.embed(a.desc)
+    return fe.compose(Poly(a.desc, (b, a))) == fe * a + b
 
 
 @dataclass(frozen=True)

@@ -9,22 +9,14 @@ growing operations check a global degree cap first.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
-from .field import FieldDesc, FieldElement, power
+from .field import (FieldDesc, FieldElement, _add, _divmod, _inverse, _lift, _lowest, _mul,
+                    _trim, monomial, power, signed_sum)
 
 NEG_INF = float("-inf")
 
-
-def _int_rows(coeffs) -> tuple[list[int], int]:
-    """Rational coefficients as integer numerators over one denominator."""
-    vals = [c.coords[0] for c in coeffs]
-    den = 1
-    for v in vals:
-        den = math.lcm(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in vals], den
 
 _degree_cap = 100_000
 
@@ -47,24 +39,49 @@ def check_degree(d) -> None:
         raise DegreeCapExceeded(f"result degree {d} exceeds the cap {_degree_cap}")
 
 
-class Poly:
-    """Immutable dense polynomial; coefficients ascending, none trailing zero."""
+def check_degree_power(n: int, e: int) -> None:
+    """check_degree(n^e), without forming n^e when e alone shows it too large."""
+    if n > 1 and e > _degree_cap.bit_length():  # then n^e >= 2^e > cap
+        raise DegreeCapExceeded(f"result degree {n}^{e} exceeds the cap {_degree_cap}")
+    check_degree(n ** e)
 
-    __slots__ = ("field", "coeffs")
+
+class Poly:
+    """Immutable dense polynomial over Q or Q(zeta_m).
+
+    Stored as the field's kernel pair: a flat tuple `num` of integer rows of
+    phi(m) power-basis coordinates per coefficient, ascending, with no
+    trailing zero row, over one positive denominator `den`, in lowest terms.
+    """
+
+    __slots__ = ("field", "num", "den", "_coeffs")
 
     def __init__(self, field: FieldDesc, coeffs=()):
-        items: list[FieldElement] = []
+        flat: list = []
+        pad = (0,) * (field.degree - 1)
         for c in coeffs:
             if isinstance(c, FieldElement):
                 if c.desc != field:
                     raise FieldMismatch(f"coefficient in {c.desc}, expected {field}")
-                items.append(c)
+                flat += c.coords
             else:
-                items.append(FieldElement.rational(c, field))
-        while items and items[-1].is_zero:
-            items.pop()
+                flat.append(c if isinstance(c, (int, Fraction)) else Fraction(c))
+                flat += pad
+        self._set(field, *_lift(flat))
+
+    def _set(self, field: FieldDesc, num: list[int], den: int) -> None:
+        num, den = _lowest(_trim(num, field.degree), den)
         self.field = field
-        self.coeffs = tuple(items)
+        self.num = tuple(num)
+        self.den = den
+        self._coeffs = None
+
+    @classmethod
+    def _from_ints(cls, field: FieldDesc, num: list[int], den: int) -> "Poly":
+        """A polynomial from kernel rows num / den, brought to canonical form."""
+        p = cls.__new__(cls)
+        p._set(field, num, den)
+        return p
 
     # --- construction --------------------------------------------------
     @classmethod
@@ -86,21 +103,29 @@ class Poly:
 
     # --- basic queries ---------------------------------------------------
     @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        """The coefficients as scalars, ascending; built on first use and kept."""
+        if self._coeffs is None:
+            self._coeffs = tuple(self.coeff(j) for j in range(len(self.num) // self.field.degree))
+        return self._coeffs
+
+    @property
     def degree(self):
         """Degree, with the zero polynomial at minus infinity."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) // self.field.degree - 1 if self.num else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading_coeff(self) -> FieldElement:
-        return self.coeffs[-1] if self.coeffs else FieldElement.zero(self.field)
+        return self.coeff(self.degree) if self.num else FieldElement.zero(self.field)
 
     def coeff(self, j: int) -> FieldElement:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
+        phi = self.field.degree
+        if 0 <= j < len(self.num) // phi:
+            return FieldElement._from_ints(self.field, self.num[j * phi:(j + 1) * phi], self.den)
         return FieldElement.zero(self.field)
 
     def __bool__(self):
@@ -109,10 +134,10 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.num, self.den))
 
     # --- ring operations --------------------------------------------------
     def _coerce(self, other):
@@ -128,20 +153,18 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field, (self.coeff(j) + o.coeff(j) for j in range(n)))
+        return Poly._from_ints(self.field, *_add(self.num, self.den, o.num, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.field, (-c for c in self.coeffs))
+        return Poly._from_ints(self.field, [-v for v in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field, (self.coeff(j) - o.coeff(j) for j in range(n)))
+        return Poly._from_ints(self.field, *_add(self.num, self.den, [-v for v in o.num], o.den))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -150,33 +173,8 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return Poly.zero(self.field)
         check_degree(self.degree + o.degree)
-        if self.field.is_rational:
-            return self._mul_rational(o)
-        out = [FieldElement.zero(self.field)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero:
-                for j, b in enumerate(o.coeffs):
-                    if not b.is_zero:
-                        out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
-
-    def _mul_rational(self, o: "Poly") -> "Poly":
-        # convolve integer numerators over a shared denominator so the
-        # gcd normalization happens once per output coefficient rather
-        # than once per scalar operation
-        na, da = _int_rows(self.coeffs)
-        nb, db = _int_rows(o.coeffs)
-        out = [0] * (len(na) + len(nb) - 1)
-        for i, a in enumerate(na):
-            if a:
-                for j, b in enumerate(nb):
-                    if b:
-                        out[i + j] += a * b
-        den = da * db
-        return Poly(self.field, tuple(Fraction(n, den) for n in out))
+        return Poly._from_ints(self.field, _mul(self.num, o.num, self.field), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -193,18 +191,8 @@ class Poly:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quot: dict[int, FieldElement] = {}
-        rem = self
-        dn = o.degree
-        lead = o.leading_coeff
-        while not rem.is_zero and rem.degree >= dn:
-            shift = rem.degree - dn
-            c = rem.leading_coeff / lead
-            quot[shift] = c
-            rem = rem - Poly(self.field, (0,) * shift + (c,)) * o
-        top = max(quot) + 1 if quot else 0
-        q = Poly(self.field, (quot.get(j, 0) for j in range(top)))
-        return q, rem
+        q, r = _divmod(self.num, self.den, o.num, o.den, self.field)
+        return Poly._from_ints(self.field, *q), Poly._from_ints(self.field, *r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -214,34 +202,40 @@ class Poly:
 
     # --- analysis ----------------------------------------------------------
     def derivative(self) -> "Poly":
-        return Poly(self.field, (self.coeffs[j] * j for j in range(1, len(self.coeffs))))
+        phi = self.field.degree
+        return Poly._from_ints(self.field, [v * (i // phi) for i, v in enumerate(self.num)][phi:],
+                          self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        inv = self.leading_coeff.inverse()
-        return Poly(self.field, (c * inv for c in self.coeffs))
+        inv, dinv = _inverse(self.num[-self.field.degree:], self.den, self.field)
+        return Poly._from_ints(self.field, _mul(self.num, inv, self.field), self.den * dinv)
 
     def __call__(self, point: FieldElement) -> FieldElement:
         """Evaluate at a scalar (Horner)."""
-        if isinstance(point, (int, Fraction)):
-            point = FieldElement.rational(point, self.field)
-        acc = FieldElement.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        return self.compose(Poly.constant(self.field, point)).coeff(0)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner), by Horner's rule in the polynomial ring."""
+        """self(inner), by Horner's rule on integer rows over one denominator.
+
+        With inner = N/d and n = deg self, the integer rows
+        acc <- acc*N + c_j*d^(n-j) end at d^n * den(self) * self(inner).
+        """
         o = self._coerce(inner)
         if o is None:
             raise TypeError("compose expects a polynomial")
         if self.degree >= 1 and o.degree >= 1:
             check_degree(self.degree * o.degree)
-        acc = Poly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * o + c
-        return acc
+        phi, num, d = self.field.degree, self.num, o.den
+        if o.is_zero:
+            return Poly._from_ints(self.field, list(num[:phi]), self.den)
+        acc, scale = list(num[-phi:]), 1
+        for j in range(len(num) - 2 * phi, -1, -phi):
+            scale *= d
+            acc = _mul(acc, o.num, self.field)
+            acc[:phi] = [x + scale * c for x, c in zip(acc, num[j:j + phi])]
+        return Poly._from_ints(self.field, acc, self.den * scale)
 
     def embed(self, target: FieldDesc) -> "Poly":
         if target == self.field:
@@ -255,26 +249,14 @@ class Poly:
             return "0"
         pieces: list[tuple[int, str]] = []
         for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if c.is_zero:
+            terms = self.coeffs[j]._terms_desc()
+            if not terms:
                 continue
-            sign, body, atomic = c._display()
-            if j == 0:
-                text = body
-            else:
-                pv = var if j == 1 else f"{var}^{j}"
-                if atomic and body == "1":
-                    text = pv
-                elif atomic:
-                    text = f"{body}*{pv}"
-                else:
-                    text = f"({body})*{pv}"
-            pieces.append((sign, text))
-        first_sign, first_text = pieces[0]
-        out = [f"-{first_text}" if first_sign < 0 else first_text]
-        for sign, text in pieces[1:]:
-            out.append(f" - {text}" if sign < 0 else f" + {text}")
-        return "".join(out)
+            sign, body = terms[0] if len(terms) == 1 else (1, signed_sum(terms))
+            if j and len(terms) > 1:
+                body = f"({body})"
+            pieces.append((sign, monomial(body, var, j)))
+        return signed_sum(pieces)
 
     def __str__(self):
         return self.to_text()
@@ -302,7 +284,7 @@ def sigma_power_h(f: Poly, k: int) -> Poly:
     if k == 0:
         return Poly.gen(f.field)
     if f.degree > 1:
-        check_degree(f.degree ** k)  # prospective, before any huge intermediate
+        check_degree_power(f.degree, k)  # prospective, before any huge intermediate
     s = f
     for _ in range(k - 1):
         s = f.compose(s)
@@ -328,25 +310,18 @@ def compose_mod(outer: Poly, inner: Poly, modulus: Poly) -> Poly:
 def decompose_as_polynomial_in(g: Poly, outer: Poly) -> Poly | None:
     """The unique p with g = p(outer), or None if no such p exists.
 
-    Peels leading terms: each step forces c = lc(g) / lc(outer)^e with
-    e = deg g / deg outer, so completion certifies the decomposition.
+    Expands g in powers of outer by repeated division: g = p(outer) exactly
+    when every remainder is a constant, and those constants are p's
+    coefficients, lowest first.
     """
     if outer.field != g.field:
         raise FieldMismatch(f"cannot combine {g.field} with {outer.field}")
     if outer.degree < 1:
         raise UnsupportedCase("decomposition base must have degree >= 1")
-    coeffs: dict[int, FieldElement] = {}
-    rem = g
-    while not rem.is_zero:
-        d = rem.degree
-        if d == 0:
-            coeffs[0] = rem.coeff(0)
-            break
-        e, r = divmod(d, int(outer.degree))
-        if r:
+    coeffs = []
+    while not g.is_zero:
+        g, r = divmod(g, outer)
+        if r.degree > 0:
             return None
-        c = rem.leading_coeff / (outer.leading_coeff ** e)
-        coeffs[e] = c
-        rem = rem - (outer ** e) * c
-    top = max(coeffs) + 1 if coeffs else 0
-    return Poly(g.field, (coeffs.get(j, 0) for j in range(top)))
+        coeffs.append(r.coeff(0))
+    return Poly(outer.field, coeffs)

@@ -6,7 +6,6 @@ center C[z] and in C[z, h], and the admissible generator gradings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -97,20 +96,11 @@ def find_shift_root(f: Poly) -> FieldElement | None:
     means no rational root, including the case of irrational-only roots.
     """
     p = f - Poly.gen(f.field)
-    if p.is_zero:
-        return FieldElement.zero(f.field)
     if not all(c.is_rational_value for c in p.coeffs):
         return None
-    coeffs = [c.as_fraction() for c in p.coeffs]
-    low = 0
-    while not coeffs[low]:
-        low += 1
-    if low > 0:
-        return FieldElement.zero(f.field)  # h | f(h) - h
-    denom = 1
-    for c in coeffs:
-        denom = math.lcm(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
+    ints = [int(c.as_fraction() * p.den) for c in p.coeffs]  # p.den: a common denominator
+    if not ints or not ints[0]:
+        return FieldElement.zero(f.field)  # f(h) = h, or h divides f(h) - h
     for num in divisors(abs(ints[0])):
         for den in divisors(abs(ints[-1])):
             for cand in (Fraction(num, den), Fraction(-num, den)):
@@ -121,8 +111,7 @@ def find_shift_root(f: Poly) -> FieldElement | None:
 
 def shift_polynomial(f: Poly, alpha: FieldElement) -> Poly:
     """F(h) = f(h + alpha) - alpha; when f(alpha) = alpha, F(0) = 0."""
-    line = Poly(f.field, (alpha, 1))
-    return f.compose(line) - Poly.constant(f.field, alpha)
+    return f.compose(Poly(f.field, (alpha, 1))) - alpha
 
 
 def center_membership(a: AlgebraElement) -> Poly | None:
@@ -137,18 +126,16 @@ def center_membership(a: AlgebraElement) -> Poly | None:
         raise UnsupportedCase("center membership is not computed when deg f = 1")
     if any(i != k for (i, k) in a.terms):
         return None
-    coeffs: dict[int, FieldElement] = {}
+    p = Poly.zero(ctx.field)
     rem = a
     while rem.terms:
         top = max(i for (i, _) in rem.terms)
         g = rem.terms[(top, top)]
         if g.degree > 0:
             return None
-        c = g.coeff(0)
-        coeffs[top] = c
-        rem = rem - ctx.z_power(top) * c
-    size = max(coeffs) + 1 if coeffs else 0
-    return Poly(ctx.field, (coeffs.get(j, 0) for j in range(size)))
+        p = p + g * Poly.gen(ctx.field) ** top
+        rem = rem - ctx.z_power(top) * g
+    return p
 
 
 def zh_membership(a: AlgebraElement) -> dict[int, Poly] | None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -254,3 +255,29 @@ def test_huge_h_exponent_hits_the_cap(capsys):
     code, out, err = invoke(capsys, "--f", "h^2", "nf", "h^100000000")
     assert code == 1 and out == ""
     assert "exceeds the cap" in err
+
+
+def test_large_cyclotomic_field_is_fast(capsys):
+    # Q(zeta_2000) reduces through the 5 nonzero terms of Phi_2000, with no
+    # table of zeta powers
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "--field", "Q(zeta_2000)", "--f", "h^2 + zeta*h", "nf", "y*x")
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert out == "(h^2 + (zeta - 1)*h) + x^1 * (1) * y^1"
+
+
+@pytest.mark.parametrize("expr", ["y^17*x", "y^100000000*x"])
+def test_normal_form_over_the_cap_fails_before_building(capsys, expr):
+    # y^k x^j has a coefficient of degree exactly 2^(k+j-1) when f = h^2
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "--f", "h^2", "nf", expr)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "exceeds the cap" in err
+
+
+def test_normal_form_at_the_cap_succeeds(capsys):
+    code, out, _ = invoke(capsys, "--f", "h^2", "nf", "y^16*x")
+    assert code == 0
+    assert out == "(h^65536 - h) * y^15 + x^1 * (1) * y^16"

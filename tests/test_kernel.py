@@ -1,0 +1,253 @@
+"""Property tests of the integer coefficient kernel behind Poly and FieldElement.
+
+Every operation is checked against a naive reference written here over
+tuples of Fraction coordinates: schoolbook products reduced by long
+division with Phi_m, whose coefficients are written out by hand, so the
+reference shares no code with the package.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from gha.field import FieldDesc, FieldElement  # noqa: E402
+from gha.parser import parse_poly  # noqa: E402
+from gha.poly import Poly, poly_gcd  # noqa: E402
+
+PHI = {  # ascending coefficients of Phi_m
+    1: (-1, 1),
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    5: (1, 1, 1, 1, 1),
+    7: (1, 1, 1, 1, 1, 1, 1),
+    12: (1, 0, -1, 0, 1),
+}
+FIELDS = sorted(PHI)
+
+# --- the reference: scalars are tuples of phi Fractions, polynomials lists of them
+
+
+def ref_zero(m):
+    return (Fraction(0),) * (len(PHI[m]) - 1)
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_neg(a):
+    return tuple(-x for x in a)
+
+
+def ref_mul(m, a, b):
+    phi = len(PHI[m]) - 1
+    prod = [Fraction(0)] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for e in range(len(prod) - 1, phi - 1, -1):  # Phi_m is monic
+        c = prod[e]
+        for t in range(phi + 1):
+            prod[e - phi + t] -= c * PHI[m][t]
+    return tuple(prod[:phi])
+
+
+def ref_trim(m, p):
+    p = list(p)
+    while p and p[-1] == ref_zero(m):
+        p.pop()
+    return p
+
+
+def ref_padd(m, p, q):
+    n = max(len(p), len(q))
+    p = list(p) + [ref_zero(m)] * (n - len(p))
+    q = list(q) + [ref_zero(m)] * (n - len(q))
+    return ref_trim(m, [ref_add(a, b) for a, b in zip(p, q)])
+
+
+def ref_pmul(m, p, q):
+    if not p or not q:
+        return []
+    out = [ref_zero(m)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = ref_add(out[i + j], ref_mul(m, a, b))
+    return ref_trim(m, out)
+
+
+def ref_const(m, a):
+    return ref_trim(m, [a])
+
+
+def ref_compose(m, p, q):
+    acc = []
+    for c in reversed(p):
+        acc = ref_padd(m, ref_pmul(m, acc, q), [c])
+    return acc
+
+
+def ref_eval(m, p, x):
+    acc = ref_zero(m)
+    for c in reversed(p):
+        acc = ref_add(ref_mul(m, acc, x), c)
+    return acc
+
+
+def ref_one(m):
+    return (Fraction(1),) + ref_zero(m)[1:]
+
+
+# --- strategies ----------------------------------------------------------------
+
+fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def scalar(draw, m):
+    return tuple(draw(fractions) for _ in range(len(PHI[m]) - 1))
+
+
+@st.composite
+def ref_poly(draw, m, max_degree=5):
+    return ref_trim(m, draw(st.lists(scalar(m), max_size=max_degree + 1)))
+
+
+def to_poly(m, p):
+    field = FieldDesc(m)
+    return Poly(field, [FieldElement(field, c) for c in p])
+
+
+def data(p: Poly):
+    return [c.coords for c in p.coeffs]
+
+
+@st.composite
+def case(draw, n=2, max_degree=5):
+    m = draw(st.sampled_from(FIELDS))
+    return (m,) + tuple(draw(ref_poly(m, max_degree)) for _ in range(n))
+
+
+KERNEL = settings(max_examples=60, deadline=None)
+
+# --- Poly ------------------------------------------------------------------------
+
+
+@KERNEL
+@given(case())
+def test_add_sub_mul_match_reference(c):
+    m, p, q = c
+    P, Q = to_poly(m, p), to_poly(m, q)
+    assert data(P) == p
+    assert data(P + Q) == ref_padd(m, p, q)
+    assert data(P - Q) == ref_padd(m, p, [ref_neg(b) for b in q])
+    assert data(-P) == [ref_neg(a) for a in p]
+    assert data(P * Q) == ref_pmul(m, p, q)
+
+
+@KERNEL
+@given(case(max_degree=3), st.integers(0, 4))
+def test_compose_and_power_match_reference(c, e):
+    m, p, q = c
+    P, Q = to_poly(m, p), to_poly(m, q)
+    assert data(P.compose(Q)) == ref_compose(m, p, q)
+    want = [ref_one(m)]
+    for _ in range(e):
+        want = ref_pmul(m, want, p)
+    assert data(P ** e) == want
+
+
+@KERNEL
+@given(case(max_degree=6))
+def test_divmod_recombines(c):
+    m, n, d = c
+    if not d:
+        d = [ref_one(m)]
+    N, D = to_poly(m, n), to_poly(m, d)
+    q, r = divmod(N, D)
+    assert r.is_zero or r.degree < D.degree
+    assert ref_padd(m, ref_pmul(m, data(q), d), data(r)) == n
+
+
+@KERNEL
+@given(case(n=3, max_degree=3))
+def test_gcd_is_the_monic_common_divisor(c):
+    m, a, b, g = c
+    A, B, G = (to_poly(m, p) for p in (a, b, g))
+    u, v = A * G, B * G
+    d = poly_gcd(u, v)
+    if u.is_zero and v.is_zero:
+        assert d.is_zero
+        return
+    assert data(d)[-1] == ref_one(m)
+    assert (u % d).is_zero and (v % d).is_zero
+    if not G.is_zero:
+        assert (d % G).is_zero
+    assert poly_gcd(u // d, v // d) == Poly.one(FieldDesc(m))
+
+
+@KERNEL
+@given(case(n=1), st.data())
+def test_monic_derivative_and_evaluation(c, draw):
+    m, p = c
+    P = to_poly(m, p)
+    if p:
+        monic = P.monic()
+        assert data(monic)[-1] == ref_one(m)
+        assert ref_pmul(m, data(monic), [p[-1]]) == p
+    assert data(P.derivative()) == ref_trim(
+        m, [tuple(j * x for x in a) for j, a in enumerate(p)][1:])
+    x = draw.draw(scalar(m))
+    assert P(FieldElement(FieldDesc(m), x)).coords == ref_eval(m, p, x)
+
+
+# --- FieldElement --------------------------------------------------------------------
+
+
+@KERNEL
+@given(st.sampled_from(FIELDS).flatmap(lambda m: st.tuples(st.just(m), scalar(m), scalar(m))))
+def test_scalar_mul_and_inverse_match_reference(c):
+    m, a, b = c
+    field = FieldDesc(m)
+    A, B = FieldElement(field, a), FieldElement(field, b)
+    assert (A * B).coords == ref_mul(m, a, b)
+    if any(a):
+        assert ref_mul(m, a, A.inverse().coords) == ref_one(m)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            A.inverse()
+
+
+# --- canonical form ---------------------------------------------------------------------
+
+
+@KERNEL
+@given(case(n=2), st.integers(1, 50))
+def test_equal_values_are_equal_and_hash_equal(c, k):
+    m, p, q = c
+    field = FieldDesc(m)
+    P = to_poly(m, p)
+    routes = [
+        Poly(field, [FieldElement(field, a) for a in p] + [0, Fraction(0)]),  # trailing zeros
+        (P * k) * Fraction(1, k),  # through another denominator
+        (P + to_poly(m, q)) - to_poly(m, q),
+    ]
+    if q:
+        routes.append((P * to_poly(m, q)) // to_poly(m, q))
+    if m == 1:
+        routes.append(Poly(field, [a[0] for a in p]))  # Fractions, no FieldElements
+    for other in routes:
+        assert other == P
+        assert hash(other) == hash(P)
+        assert {(other, 1): True}[(P, 1)]  # usable as a memo key
+
+
+@KERNEL
+@given(case(n=1))
+def test_print_parse_round_trip(c):
+    m, p = c
+    P = to_poly(m, p)
+    assert parse_poly(P.to_text(), FieldDesc(m)) == P
