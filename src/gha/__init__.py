@@ -26,7 +26,14 @@ from .errors import (
     ParseError,
     UnsupportedCase,
 )
-from .field import RATIONALS, FieldDesc, FieldElement, cyclotomic_polynomial
+from .field import (
+    RATIONALS,
+    FieldDesc,
+    FieldElement,
+    cyclotomic_polynomial,
+    degree_cap,
+    set_degree_cap,
+)
 from .morphisms import (
     AutGroup,
     DerivationSpec,
@@ -45,9 +52,7 @@ from .poly import (
     Poly,
     compose_mod,
     decompose_as_polynomial_in,
-    degree_cap,
     poly_gcd,
-    set_degree_cap,
     sigma_apply,
     sigma_power_h,
 )

@@ -7,13 +7,14 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 
 from .core import AlgebraElement, Context, commutator, sigma_h0
 from .errors import GhaError, ParseError
-from .field import RATIONALS, FieldDesc, FieldElement
+from .field import RATIONALS, FieldDesc, FieldElement, degree_cap, set_degree_cap
 from .morphisms import (
     DerivationSpec,
     automorphism_group,
@@ -21,7 +22,7 @@ from .morphisms import (
     classify_locally_finite,
 )
 from .parser import parse_element, parse_poly
-from .poly import Poly, degree_cap, set_degree_cap
+from .poly import Poly
 from .structure import (
     admissible_generator_gradings,
     center_membership,
@@ -101,6 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
 
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser run() uses: built on the first call, only read afterwards.
+
+    parse_args builds a new Namespace per call and leaves the parser as it
+    was, so one parser serves every run() in the process.
+    """
+    return build_parser()
 
 
 # --- serialization -----------------------------------------------------------
@@ -260,7 +271,7 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own diagnostics
         return int(exc.code or 0)
     previous_cap = degree_cap()

@@ -11,6 +11,10 @@ positive common denominator.  A polynomial is a flat list of rows of phi(m)
 ints, the coordinates of each coefficient, packed with stride phi; a scalar
 is a single row and Q is the case phi = 1.  Canonical pairs (num, den) have
 gcd(num..., den) = 1, so equal values are equal pairs.
+
+The degree cap lives here too: it bounds the field degree phi(m), checked
+when FieldDesc.degree is first computed, and the polynomial degrees that
+poly checks.
 """
 
 from __future__ import annotations
@@ -20,9 +24,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import FieldMismatch, NoEmbedding, UnsupportedCase
+from .errors import DegreeCapExceeded, FieldMismatch, NoEmbedding, UnsupportedCase
 
 _ZERO = Fraction(0)
+
+_degree_cap = 100_000
+
+
+def degree_cap() -> int:
+    return _degree_cap
+
+
+def set_degree_cap(cap: int) -> None:
+    """Set the global guard on polynomial degrees and field degrees phi(m)."""
+    global _degree_cap
+    if cap < 1:
+        raise ValueError("degree cap must be positive")
+    _degree_cap = cap
 
 
 def divisors(m: int) -> list[int]:
@@ -40,10 +58,14 @@ def divisors(m: int) -> list[int]:
 
 def euler_phi(m: int) -> int:
     """Euler's totient function, m times (1 - 1/p) over the primes p of m."""
-    result = m
-    for p in (d for d in divisors(m) if len(divisors(d)) == 2):
-        result -= result // p
-    return result
+    result, p = m, 2
+    while p * p <= m:
+        if m % p == 0:
+            result -= result // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return result - result // m if m > 1 else result
 
 
 def signed_sum(pieces: list[tuple[int, str]]) -> str:
@@ -248,8 +270,14 @@ class FieldDesc:
 
     @cached_property
     def degree(self) -> int:
-        """Dimension phi(m) over Q."""
-        return euler_phi(self.m)
+        """Dimension phi(m) over Q; DegreeCapExceeded when it passes the degree cap."""
+        cap = _degree_cap
+        if self.m > 2 * cap * cap:  # phi(m) >= sqrt(m/2) > cap, no need to factor m
+            raise DegreeCapExceeded(f"field degree phi({self.m}) exceeds the cap {cap}")
+        phi = euler_phi(self.m)
+        if phi > cap:
+            raise DegreeCapExceeded(f"field degree phi({self.m}) = {phi} exceeds the cap {cap}")
+        return phi
 
     def embeds_into(self, other: "FieldDesc") -> bool:
         return other.m % self.m == 0
@@ -363,6 +391,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.desc.m == 1:
+            return FieldElement(self.desc, (self.coords[0] * o.coords[0],))
         a, da = _lift(self.coords)
         b, db = _lift(o.coords)
         return FieldElement._from_ints(self.desc, _mul(a, b, self.desc), da * db)
@@ -371,6 +401,10 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_m."""
+        if self.desc.m == 1:
+            if not self.coords[0]:
+                raise ZeroDivisionError("inversion of zero field element")
+            return FieldElement(self.desc, (1 / self.coords[0],))
         return FieldElement._from_ints(self.desc, *_inverse(*_lift(self.coords), self.desc))
 
     def __truediv__(self, other):

@@ -13,36 +13,24 @@ from fractions import Fraction
 
 from .errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
 from .field import (FieldDesc, FieldElement, _add, _divmod, _inverse, _lift, _lowest, _mul,
-                    _trim, monomial, power, signed_sum)
+                    _trim, degree_cap, monomial, power, signed_sum)
+from .field import set_degree_cap  # noqa: F401  (re-exported: gha.poly.set_degree_cap)
 
 NEG_INF = float("-inf")
 
 
-_degree_cap = 100_000
-
-
-def degree_cap() -> int:
-    return _degree_cap
-
-
-def set_degree_cap(cap: int) -> None:
-    """Set the global guard on result degrees (resource protection)."""
-    global _degree_cap
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
-    _degree_cap = cap
-
-
 def check_degree(d) -> None:
     """Raise DegreeCapExceeded if a result of degree d would pass the cap."""
-    if d != NEG_INF and d > _degree_cap:
-        raise DegreeCapExceeded(f"result degree {d} exceeds the cap {_degree_cap}")
+    cap = degree_cap()
+    if d != NEG_INF and d > cap:
+        raise DegreeCapExceeded(f"result degree {d} exceeds the cap {cap}")
 
 
 def check_degree_power(n: int, e: int) -> None:
     """check_degree(n^e), without forming n^e when e alone shows it too large."""
-    if n > 1 and e > _degree_cap.bit_length():  # then n^e >= 2^e > cap
-        raise DegreeCapExceeded(f"result degree {n}^{e} exceeds the cap {_degree_cap}")
+    cap = degree_cap()
+    if n > 1 and e > cap.bit_length():  # then n^e >= 2^e > cap
+        raise DegreeCapExceeded(f"result degree {n}^{e} exceeds the cap {cap}")
     check_degree(n ** e)
 
 

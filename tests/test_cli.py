@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from gha import cli
 from gha.cli import build_parser, run
 from gha.poly import degree_cap
 
@@ -281,3 +282,96 @@ def test_normal_form_at_the_cap_succeeds(capsys):
     code, out, _ = invoke(capsys, "--f", "h^2", "nf", "y^16*x")
     assert code == 0
     assert out == "(h^65536 - h) * y^15 + x^1 * (1) * y^16"
+
+
+@pytest.mark.parametrize("field", ["Q(zeta_1000003)", "Q(zeta_100000000000000000000)"])
+def test_field_degree_over_the_cap_fails_fast(capsys, field):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "--field", field, "--f", "h^2", "nf", "y*x")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "exceeds the cap" in err
+
+
+def test_field_degree_under_the_cap_succeeds(capsys):
+    code, out, _ = invoke(capsys, "--field", "Q(zeta_100000)", "--f", "h^2", "nf", "y*x")
+    assert code == 0  # phi(100000) = 40000
+    assert out == "(h^2 - h) + x^1 * (1) * y^1"
+
+
+def test_degree_cap_option_bounds_the_field_degree(capsys):
+    code, _, err = invoke(capsys, "--degree-cap", "3", "--field", "Q(zeta_5)", "--f", "h^2", "classify")
+    assert code == 1
+    assert "phi(5) = 4 exceeds the cap 3" in err
+    code, _, _ = invoke(capsys, "--degree-cap", "4", "--field", "Q(zeta_5)", "--f", "h^2", "classify")
+    assert code == 0
+
+
+# --- one parser per process ----------------------------------------------------
+
+REUSE_REQUESTS = [
+    ["--f", "h^2", "nf", "y*x"],
+    ["--f", "h^3+h", "--json", "commutator", "y", "x^2"],
+    ["--field", "Q(zeta_3)", "--f", "h^2 + zeta*h", "--json", "aut"],
+    ["--f", "h^2", "--degree-cap", "10", "nf", "h^50"],
+    ["--f", "h^2", "noetherian", "--max-n", "2"],
+    ["--f", "h^2", "nf"],
+    ["--f", "h^2", "--json", "derivation-classify", "--dx=5/3*x", "--dy=-5/3*y", "--dh=0"],
+    ["--f", "h^2", "--json", "frobnicate"],
+    ["--help"],
+    ["--f", "h^2", "center", "--help"],
+    ["--f", "h^2", "--json", "zh-member", "h^3 + z"],
+    ["--f", "h^2", "gradings"],
+]
+
+
+def _run_all(capsys):
+    out = []
+    for argv in REUSE_REQUESTS:
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_repeated_runs_in_one_process_repeat_their_results(capsys):
+    before = degree_cap()
+    first = _run_all(capsys)
+    assert [code for code, _, _ in first] == [0, 0, 0, 1, 0, 2, 0, 2, 0, 0, 0, 0]
+    assert "exceeds the cap 10" in first[3][2]
+    assert "usage: gha" in first[5][2] and "usage: gha" in first[9][1]
+    assert _run_all(capsys) == first
+    assert degree_cap() == before
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_changing_a_built_parser_leaves_run_alone(capsys):
+    argv = ["--f", "h^2", "--extra=1", "nf", "y*x"]
+    parser = build_parser()
+    parser.add_argument("--extra")
+    assert parser.parse_args(argv).extra == "1"
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --extra" in err
+
+
+def test_run_builds_the_parser_at_most_once(monkeypatch, capsys):
+    calls = []
+
+    def counting():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(5):
+            assert run(["--f", "h^2", "nf", "y*x"]) == 0
+            assert run(["--f", "h^2", "--json", "classify"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -1,19 +1,25 @@
 """Cyclotomic field arithmetic over exact rationals."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from gha.errors import FieldMismatch, NoEmbedding
+import gha
+import gha.poly
+from gha.errors import DegreeCapExceeded, FieldMismatch, NoEmbedding
 from gha.field import (
     RATIONALS,
     FieldDesc,
     FieldElement,
     cyclotomic_coeffs,
     cyclotomic_polynomial,
+    degree_cap,
     divisors,
     euler_phi,
+    set_degree_cap,
 )
 
 Q3 = FieldDesc(3)
@@ -25,6 +31,41 @@ def test_divisors_and_phi():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
     assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+def test_phi_counts_units():
+    for m in range(1, 400):
+        assert euler_phi(m) == sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+    assert euler_phi(2 ** 40) == 2 ** 39
+    assert euler_phi(999983 * 1000003) == 999982 * 1000002
+
+
+def test_field_degree_over_the_cap_raises():
+    set_degree_cap(10)
+    assert FieldDesc(11).degree == 10
+    assert FieldDesc(22).degree == 10
+    q23 = FieldDesc(23)
+    for field in (q23, FieldDesc(201), FieldDesc(10 ** 20)):
+        with pytest.raises(DegreeCapExceeded, match="exceeds the cap 10"):
+            field.degree
+    set_degree_cap(100)
+    assert q23.degree == 22  # a refused attempt caches nothing
+
+
+def test_huge_field_index_is_rejected_without_factoring():
+    # m > 2 cap^2 forces phi(m) >= sqrt(m/2) > cap; a prime just below that
+    # bound is factored by trial division up to its square root
+    set_degree_cap(100_000)
+    start = time.perf_counter()
+    for m in (10 ** 100 + 267, 2 * 10 ** 10 - 33):  # two primes
+        with pytest.raises(DegreeCapExceeded, match="exceeds the cap"):
+            FieldDesc(m).degree
+    assert time.perf_counter() - start < 1
+
+
+def test_degree_cap_has_one_home():
+    assert gha.degree_cap is gha.poly.degree_cap is degree_cap
+    assert gha.set_degree_cap is gha.poly.set_degree_cap is set_degree_cap
 
 
 KNOWN_CYCLOTOMICS = {
@@ -184,6 +225,9 @@ def test_zero_has_no_inverse():
         FieldElement.zero(Q4).inverse()
     with pytest.raises(ZeroDivisionError):
         FieldElement.one(RATIONALS) / FieldElement.zero(RATIONALS)
+    for field in (RATIONALS, Q4):
+        with pytest.raises(ZeroDivisionError, match="^inversion of zero field element$"):
+            FieldElement.zero(field).inverse()
 
 
 def test_int_and_fraction_coercion():
