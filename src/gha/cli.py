@@ -11,10 +11,11 @@ import functools
 import json
 import re
 import sys
+from itertools import compress
 
 from .core import AlgebraElement, Context, commutator, sigma_h0
 from .errors import GhaError, ParseError
-from .field import RATIONALS, FieldDesc, FieldElement, degree_cap, set_degree_cap
+from .field import RATIONALS, FieldDesc, FieldElement, _ratio_text, degree_cap, set_degree_cap
 from .morphisms import (
     DerivationSpec,
     automorphism_group,
@@ -118,114 +119,96 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _scalar_json(c: FieldElement):
+    """A string over Q, else one string per coordinate, "0" for a zero one."""
     if c.desc.is_rational:
-        return str(c.as_fraction())
-    return [str(q) for q in c.coords]
+        return _ratio_text(c.num[0], c.den)
+    out = ["0"] * len(c.num)
+    for j in compress(range(len(c.num)), c.num):
+        out[j] = _ratio_text(c.num[j], c.den)
+    return out
 
 
 def _poly_json(p: Poly) -> list:
     return [_scalar_json(c) for c in p.coeffs]
 
 
-def _element_json(e: AlgebraElement, ctx: Context) -> dict:
-    return {
-        "f": _poly_json(ctx.f),
-        "field": str(ctx.field),
-        "terms": [
-            {"i": i, "k": k, "poly": _poly_json(e.terms[(i, k)])}
-            for (i, k) in sorted(e.terms)
-        ],
-    }
-
-
-def _emit(args, text: str, payload: dict) -> int:
-    print(json.dumps(payload) if args.json else text)
-    return 0
-
-
 # --- subcommands -------------------------------------------------------------
+# Each builds and returns only the requested output: JSON data or text.
+
+
+def _element_out(args, e: AlgebraElement):
+    if not args.json:
+        return e.to_text()
+    terms = [{"i": i, "k": k, "poly": _poly_json(e.terms[(i, k)])} for (i, k) in sorted(e.terms)]
+    return {"f": _poly_json(e.ctx.f), "field": str(e.ctx.field), "terms": terms}
 
 
 def _cmd_nf(ctx, args):
-    e = parse_element(args.expr, ctx)
-    return _emit(args, e.to_text(), _element_json(e, ctx))
+    return _element_out(args, parse_element(args.expr, ctx))
 
 
 def _cmd_commutator(ctx, args):
     e = commutator(parse_element(args.expr1, ctx), parse_element(args.expr2, ctx))
-    return _emit(args, e.to_text(), _element_json(e, ctx))
+    return _element_out(args, e)
 
 
 def _cmd_classify(ctx, args):
     c = classify(ctx)
-    text = "\n".join([
+    if args.json:
+        return {"deg_f": c.deg_f, "is_domain": c.is_domain, "is_noetherian": c.is_noetherian,
+                "is_generalized_down_up": c.is_generalized_down_up,
+                "center": c.center_description.value}
+    return "\n".join([
         f"deg f: {c.deg_f}",
         f"domain: {str(c.is_domain).lower()}",
         f"noetherian: {str(c.is_noetherian).lower()}",
         f"generalized down-up: {str(c.is_generalized_down_up).lower()}",
         f"center: {c.center_description.value}",
     ])
-    payload = {
-        "deg_f": c.deg_f,
-        "is_domain": c.is_domain,
-        "is_noetherian": c.is_noetherian,
-        "is_generalized_down_up": c.is_generalized_down_up,
-        "center": c.center_description.value,
-    }
-    return _emit(args, text, payload)
 
 
 def _cmd_center(ctx, args):
     p = center_membership(parse_element(args.expr, ctx))
     if p is None:
-        return _emit(args, "none", {"in_center": False, "poly": None})
-    return _emit(args, p.to_text("z"), {"in_center": True, "poly": _poly_json(p)})
+        return {"in_center": False, "poly": None} if args.json else "none"
+    return {"in_center": True, "poly": _poly_json(p)} if args.json else p.to_text("z")
 
 
 def _cmd_zh_member(ctx, args):
     comps = zh_membership(parse_element(args.expr, ctx))
     if comps is None:
-        return _emit(args, "none", {"member": False, "components": None})
-    text = "; ".join(f"p_{k} = {p.to_text()}" for k, p in comps.items()) or "p_0 = 0"
-    payload = {"member": True,
-               "components": {str(k): _poly_json(p) for k, p in comps.items()}}
-    return _emit(args, text, payload)
+        return {"member": False, "components": None} if args.json else "none"
+    if args.json:
+        return {"member": True, "components": {str(k): _poly_json(p) for k, p in comps.items()}}
+    return "; ".join(f"p_{k} = {p.to_text()}" for k, p in comps.items()) or "p_0 = 0"
 
 
 def _cmd_noetherian(ctx, args):
     reports = noetherian_witness(ctx, args.max_n)
-    text = "\n".join(
+    if args.json:
+        return {"reports": [{"n": r.n, "gcd": _poly_json(r.generator_gcd), "member": r.is_member}
+                            for r in reports]}
+    return "\n".join(
         f"n={r.n}: gcd = {r.generator_gcd.to_text()}, member = {str(r.is_member).lower()}"
         for r in reports
     )
-    payload = [
-        {"n": r.n, "gcd": _poly_json(r.generator_gcd), "member": r.is_member}
-        for r in reports
-    ]
-    return _emit(args, text, {"reports": payload})
 
 
 def _cmd_gradings(ctx, args):
     family = admissible_generator_gradings(ctx)
-    return _emit(args, str(family),
-                 {"generator": list(family.generator), "all_integer_multiples": True})
+    if args.json:
+        return {"generator": list(family.generator), "all_integer_multiples": True}
+    return str(family)
 
 
 def _cmd_aut(ctx, args):
     group = automorphism_group(ctx)
     a, b = group.generator
+    if args.json:
+        return {"n": group.n, "cyclic_order": group.cyclic_order, "a": _scalar_json(a),
+                "b": _scalar_json(b), "field": str(group.field), "group": group.describe()}
     text = f"Aut(H(f)) ≅ {group.describe()}; generator: a={a}, b={b}"
-    if not group.field.is_rational:
-        text += f" (field {group.field})"
-    payload = {
-        "n": group.n,
-        "cyclic_order": group.cyclic_order,
-        "a": _scalar_json(a),
-        "b": _scalar_json(b),
-        "field": str(group.field),
-        "group": group.describe(),
-    }
-    return _emit(args, text, payload)
+    return text if group.field.is_rational else text + f" (field {group.field})"
 
 
 def _parse_derivation(ctx, args) -> DerivationSpec:
@@ -239,19 +222,18 @@ def _parse_derivation(ctx, args) -> DerivationSpec:
 
 def _cmd_derivation_check(ctx, args):
     ok = check_derivation(_parse_derivation(ctx, args))
-    return _emit(args, str(ok).lower(), {"is_derivation": ok})
+    return {"is_derivation": ok} if args.json else str(ok).lower()
 
 
 def _cmd_derivation_classify(ctx, args):
     lam = classify_locally_finite(_parse_derivation(ctx, args))
     if lam is None:
-        return _emit(args, "none", {"lambda": None})
-    return _emit(args, f"lambda = {lam}", {"lambda": _scalar_json(lam)})
+        return {"lambda": None} if args.json else "none"
+    return {"lambda": _scalar_json(lam)} if args.json else f"lambda = {lam}"
 
 
 def _cmd_sigma(ctx, args):
-    e = sigma_h0(parse_element(args.expr, ctx))
-    return _emit(args, e.to_text(), _element_json(e, ctx))
+    return _element_out(args, sigma_h0(parse_element(args.expr, ctx)))
 
 
 _COMMANDS = {
@@ -279,8 +261,9 @@ def run(argv=None) -> int:
         set_degree_cap(args.degree_cap)
     try:
         f = parse_poly(args.f, args.field)
-        ctx = Context(f)
-        return _COMMANDS[args.command](ctx, args)
+        out = _COMMANDS[args.command](Context(f), args)
+        print(json.dumps(out) if args.json else out)
+        return 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

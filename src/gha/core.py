@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import FieldMismatch, UnsupportedCase
-from .field import FieldDesc, FieldElement, power
+from .field import FieldDesc, FieldElement, _int_text, power
 from .poly import Poly, check_degree_power, sigma_apply
 
 
@@ -222,10 +222,10 @@ class AlgebraElement:
             g = self.terms[(i, k)]
             factors = []
             if i:
-                factors.append(f"x^{i}")
+                factors.append(f"x^{_int_text(i)}")
             factors.append(f"({g.to_text()})")
             if k:
-                factors.append(f"y^{k}")
+                factors.append(f"y^{_int_text(k)}")
             parts.append(" * ".join(factors))
         return " + ".join(parts)
 

@@ -1,16 +1,15 @@
 """Exact scalars, the rationals Q and the cyclotomic extensions Q(zeta_m),
 and the integer kernel that does the arithmetic of scalars and polynomials.
 
-An element of Q(zeta_m) is stored by its coordinates with respect to the
-power basis {zeta^j : 0 <= j < phi(m)}, always reduced modulo the m-th
-cyclotomic polynomial, so equality is a plain coordinate comparison.
-m = 1 is identified with Q itself (length-1 coordinate vectors).
+An element of Q(zeta_m) is given by its coordinates with respect to the
+power basis {zeta^j : 0 <= j < phi(m)}, reduced modulo the m-th cyclotomic
+polynomial.  m = 1 is identified with Q itself (phi = 1).
 
-The kernel holds a vector of rationals as a list of Python ints over one
-positive common denominator.  A polynomial is a flat list of rows of phi(m)
-ints, the coordinates of each coefficient, packed with stride phi; a scalar
-is a single row and Q is the case phi = 1.  Canonical pairs (num, den) have
-gcd(num..., den) = 1, so equal values are equal pairs.
+The kernel holds rationals as the pair (num, den): Python ints over one
+positive common denominator, in lowest terms, so equal values are equal
+pairs.  A scalar is one row of phi(m) coordinates; a polynomial is a flat
+tuple of such rows, one per coefficient.  Printers read these rows and
+write ints through decimal, which has no limit on the number of digits.
 
 The degree cap lives here too: it bounds the field degree phi(m), checked
 when FieldDesc.degree is first computed, and the polynomial degrees that
@@ -21,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 
 from .errors import DegreeCapExceeded, FieldMismatch, NoEmbedding, UnsupportedCase
-
-_ZERO = Fraction(0)
 
 _degree_cap = 100_000
 
@@ -83,6 +82,28 @@ def monomial(coeff: str, var: str, j: int) -> str:
     return pv if coeff == "1" else f"{coeff}*{pv}"
 
 
+def _int_text(n: int) -> str:
+    """The decimal digits of n; unlike str(n), of any length."""
+    return str(Decimal(n))
+
+
+def _text_int(digits: str) -> int:
+    """The int a string of decimal digits spells; unlike int(digits), of any length."""
+    return int(Decimal(digits))
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d for d > 0 in lowest terms, as str(Fraction(n, d)) writes it."""
+    g = math.gcd(n, d)
+    return _int_text(n // g) if d == g else f"{_int_text(n // g)}/{_int_text(d // g)}"
+
+
+def _row_terms(row, den: int) -> list[tuple[int, str]]:
+    """(sign, magnitude text) of each nonzero coordinate of row / den, highest zeta power first."""
+    return [(-1 if row[j] < 0 else 1, monomial(_ratio_text(abs(row[j]), den), "zeta", j))
+            for j in reversed(list(compress(range(len(row)), row)))]
+
+
 def power(base, e: int, one):
     """base^e for e >= 0 by square-and-multiply; one is the unit of base's ring."""
     result = one
@@ -96,12 +117,6 @@ def power(base, e: int, one):
 
 
 # --- the coefficient kernel ------------------------------------------------
-
-
-def _lift(values) -> tuple[list[int], int]:
-    """Ints or Fractions as integer numerators over their least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _lowest(num: list[int], den: int) -> tuple[list[int], int]:
@@ -143,7 +158,7 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 def _restride(num: list[int], old: int, new: int, rows: int) -> list[int]:
     """The first rows rows of num, moved from stride old to stride new (cut or zero-padded)."""
     if old == new:
-        return num
+        return num[:rows * new]
     out = [0] * (rows * new)
     for j in range(min(old, new)):
         out[j::new] = num[j:rows * old:old]
@@ -151,32 +166,47 @@ def _restride(num: list[int], old: int, new: int, rows: int) -> list[int]:
 
 
 def _reduce(num: list[int], field: "FieldDesc", stride: int) -> list[int]:
-    """Rows of stride >= phi ints reduced mod Phi_m and packed again at stride phi.
+    """Rows of stride ints reduced mod Phi_m and packed again at stride phi.
 
     zeta^e = -sum c_t zeta^(e - phi + t), applied from the top power down
     through the nonzero terms of Phi_m only.
     """
     phi = field.degree
-    terms = [(t, c) for t, c in enumerate(_cyclotomic_ints(field.m)[:-1]) if c]
-    for e in range(stride - 1, phi - 1, -1):  # a pass writes lower powers only
-        for i in range(e, len(num), stride):
-            c = num[i]
-            if c:
-                for t, p in terms:
-                    num[i - phi + t] -= p * c
+    if stride > phi:
+        terms = [(t, c) for t, c in enumerate(_cyclotomic_ints(field.m)[:-1]) if c]
+        for e in range(stride - 1, phi - 1, -1):  # a pass writes lower powers only
+            for i in range(e, len(num), stride):
+                c = num[i]
+                if c:
+                    for t, p in terms:
+                        num[i - phi + t] -= p * c
     return _restride(num, stride, phi, len(num) // stride)
+
+
+def _top(num: list[int], phi: int) -> int:
+    """The highest zeta power with a nonzero coordinate in some row of num; -1 if none."""
+    if any(num[phi - 1::phi]):  # the common case, some row dense to the top
+        return phi - 1
+    top = -1
+    for s in range(0, len(num), phi):
+        if any(num[s + top + 1:s + phi]):  # this row reaches above top
+            top = bytes(map(bool, num[s:s + phi])).rfind(1)
+    return top
 
 
 def _mul(a: list[int], b: list[int], field: "FieldDesc") -> list[int]:
     """Product of packed integer rows: one 1-D convolution, then reduction mod Phi_m.
 
-    Rows are spread to stride 2*phi - 1 first, so that the zeta powers of a
-    product of two rows (up to 2*phi - 2) never reach the next row.
+    Rows are spread to stride ha + hb + 1 first, ha and hb the highest zeta
+    powers present in a and b, so that the powers of a product of two rows
+    never reach the next row; only a stride above phi needs reducing.
     """
     if not a or not b:
         return []
     phi = field.degree
-    stride = 2 * phi - 1
+    if phi == 1:
+        return _convolve(a, b)
+    stride = max(_top(a, phi) + _top(b, phi) + 1, 1)
     wide = [_restride(v, phi, stride, len(v) // phi) for v in (a, b)]
     return _reduce(_convolve(*wide), field, stride)
 
@@ -293,27 +323,37 @@ class FieldDesc:
 RATIONALS = FieldDesc(1)
 
 
-@dataclass(frozen=True, eq=False)
 class FieldElement:
-    """An exact scalar, reduced mod Phi_m; immutable and hashable."""
+    """An exact scalar reduced mod Phi_m; immutable and hashable.
 
-    desc: FieldDesc
-    coords: tuple[Fraction, ...]
+    Stored as the kernel pair of one row: the phi(m) integer coordinates
+    `num` over the positive denominator `den`, in lowest terms.
+    """
 
-    def __post_init__(self):
-        if len(self.coords) != self.desc.degree:
-            raise ValueError(
-                f"expected {self.desc.degree} coordinates for {self.desc}, "
-                f"got {len(self.coords)}"
-            )
-        if not all(isinstance(c, Fraction) for c in self.coords):
-            object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+    __slots__ = ("desc", "num", "den")
+
+    def __init__(self, desc: FieldDesc, coords):
+        if len(coords) != desc.degree:
+            raise ValueError(f"expected {desc.degree} coordinates for {desc}, got {len(coords)}")
+        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in coords]
+        # over the least common denominator, Fractions in lowest terms stay so
+        self.desc, self.den = desc, math.lcm(*(v.denominator for v in values))
+        self.num = tuple(v.numerator * (self.den // v.denominator) for v in values)
+
+    @classmethod
+    def _from_ints(cls, desc: FieldDesc, num, den: int) -> "FieldElement":
+        """The scalar num / den from one kernel row, brought to lowest terms."""
+        num, den = _lowest(num, den)
+        e = cls.__new__(cls)
+        e.desc, e.num, e.den = desc, tuple(num), den
+        return e
 
     # --- construction -------------------------------------------------
     @staticmethod
     def rational(value, desc: FieldDesc = RATIONALS) -> "FieldElement":
-        c = Fraction(value)
-        return FieldElement(desc, (c,) + (_ZERO,) * (desc.degree - 1))
+        c = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return FieldElement._from_ints(desc, (c.numerator,) + (0,) * (desc.degree - 1),
+                                       c.denominator)
 
     @staticmethod
     def zero(desc: FieldDesc) -> "FieldElement":
@@ -335,27 +375,28 @@ class FieldElement:
         row[e] = 1
         return FieldElement._from_ints(desc, _reduce(row, desc, len(row)), 1)
 
-    @staticmethod
-    def _from_ints(desc: FieldDesc, num: list[int], den: int) -> "FieldElement":
-        return FieldElement(desc, tuple(Fraction(v, den) for v in num))
-
     # --- predicates ----------------------------------------------------
     @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     @property
     def is_rational_value(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         """The value as a rational number; error when not rational-valued."""
         if not self.is_rational_value:
             raise UnsupportedCase(f"{self} is not a rational number")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     # --- arithmetic ----------------------------------------------------
     def _coerce(self, other):
@@ -371,18 +412,16 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.desc, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return FieldElement._from_ints(self.desc, *_add(self.num, self.den, o.num, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.desc, tuple(-a for a in self.coords))
+        return FieldElement._from_ints(self.desc, [-v for v in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.desc, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
         return -(self - other)
@@ -391,33 +430,28 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.desc.m == 1:
-            return FieldElement(self.desc, (self.coords[0] * o.coords[0],))
-        a, da = _lift(self.coords)
-        b, db = _lift(o.coords)
-        return FieldElement._from_ints(self.desc, _mul(a, b, self.desc), da * db)
+        if self.desc.m == 1:  # over Q, one product and one gcd
+            return FieldElement._from_ints(self.desc, (self.num[0] * o.num[0],), self.den * o.den)
+        return FieldElement._from_ints(self.desc, _mul(self.num, o.num, self.desc),
+                                       self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_m."""
         if self.desc.m == 1:
-            if not self.coords[0]:
+            if not self.num[0]:
                 raise ZeroDivisionError("inversion of zero field element")
-            return FieldElement(self.desc, (1 / self.coords[0],))
-        return FieldElement._from_ints(self.desc, *_inverse(*_lift(self.coords), self.desc))
+            return FieldElement._from_ints(self.desc, (self.den,), self.num[0])
+        return FieldElement._from_ints(self.desc, *_inverse(self.num, self.den, self.desc))
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, e: int) -> "FieldElement":
         if not isinstance(e, int):
@@ -431,10 +465,10 @@ class FieldElement:
             other = FieldElement.rational(other, self.desc)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.desc == other.desc and self.coords == other.coords
+        return self.desc == other.desc and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.desc, self.coords))
+        return hash((self.desc, self.num, self.den))
 
     # --- embeddings ----------------------------------------------------
     def embed(self, target: FieldDesc) -> "FieldElement":
@@ -443,25 +477,15 @@ class FieldElement:
             return self
         if not self.desc.embeds_into(target):
             raise NoEmbedding(f"{self.desc} does not embed into {target}")
-        num, den = _lift(self.coords)  # zeta_m^j is zeta_M^(j*M/m)
-        row = _restride(num, 1, target.m // self.desc.m, len(num))
-        return FieldElement._from_ints(target, _reduce(row, target, len(row)), den)
+        row = _restride(self.num, 1, target.m // self.desc.m, len(self.num))
+        return FieldElement._from_ints(target, _reduce(row, target, len(row)), self.den)
 
     # --- display --------------------------------------------------------
-    def _terms_desc(self) -> list[tuple[int, str]]:
-        """(sign, magnitude text) of each nonzero term, highest zeta power first."""
-        out = []
-        for j in range(len(self.coords) - 1, -1, -1):
-            c = self.coords[j]
-            if c:
-                out.append((-1 if c < 0 else 1, monomial(str(abs(c)), "zeta", j)))
-        return out
-
     def __str__(self):
-        return signed_sum(self._terms_desc()) if any(self.coords) else "0"
+        terms = _row_terms(self.num, self.den)
+        return signed_sum(terms) if terms else "0"
 
-    def __repr__(self):
-        return str(self)
+    __repr__ = __str__
 
 
 def cyclotomic_polynomial(m: int):

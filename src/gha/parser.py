@@ -18,7 +18,7 @@ from typing import Union
 
 from .core import AlgebraElement, Context, generators
 from .errors import ParseError
-from .field import RATIONALS, FieldDesc, FieldElement
+from .field import RATIONALS, FieldDesc, FieldElement, _text_int
 from .poly import Poly
 
 Expr = Union["Num", "Sym", "Add", "Sub", "Mul", "Neg", "Pow"]
@@ -84,9 +84,9 @@ def _tokenize(src: str) -> list[_Token]:
         c = src[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():  # the digits int() and decimal accept
             start = i
-            while i < len(src) and src[i].isdigit():
+            while i < len(src) and src[i].isdecimal():
                 i += 1
             tokens.append(_Token("INT", src[start:i], start))
         elif c.isalpha():
@@ -159,14 +159,14 @@ class _Parser:
             if tok.kind != "INT":
                 raise ParseError(tok.pos, {"nonnegative integer exponent"}, tok.text)
             self.advance()
-            node = Pow(node, int(tok.text))
+            node = Pow(node, _text_int(tok.text))
         return node
 
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            num = int(tok.text)
+            num = _text_int(tok.text)
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "/":
                 self.advance()
@@ -174,9 +174,9 @@ class _Parser:
                 if den_tok.kind != "INT":
                     raise ParseError(den_tok.pos, {"integer denominator"}, den_tok.text)
                 self.advance()
-                if int(den_tok.text) == 0:
+                if _text_int(den_tok.text) == 0:
                     raise ParseError(den_tok.pos, {"nonzero denominator"}, den_tok.text)
-                return Num(Fraction(num, int(den_tok.text)))
+                return Num(Fraction(num, _text_int(den_tok.text)))
             return Num(Fraction(num))
         if tok.kind == "NAME":
             if tok.text not in self.names:

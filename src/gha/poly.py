@@ -9,11 +9,12 @@ growing operations check a global degree cap first.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
-from .field import (FieldDesc, FieldElement, _add, _divmod, _inverse, _lift, _lowest, _mul,
-                    _trim, degree_cap, monomial, power, signed_sum)
+from .field import (FieldDesc, FieldElement, _add, _divmod, _int_text, _inverse, _lowest, _mul,
+                    _row_terms, _trim, degree_cap, monomial, power, signed_sum)
 from .field import set_degree_cap  # noqa: F401  (re-exported: gha.poly.set_degree_cap)
 
 NEG_INF = float("-inf")
@@ -23,14 +24,14 @@ def check_degree(d) -> None:
     """Raise DegreeCapExceeded if a result of degree d would pass the cap."""
     cap = degree_cap()
     if d != NEG_INF and d > cap:
-        raise DegreeCapExceeded(f"result degree {d} exceeds the cap {cap}")
+        raise DegreeCapExceeded(f"result degree {_int_text(d)} exceeds the cap {cap}")
 
 
 def check_degree_power(n: int, e: int) -> None:
     """check_degree(n^e), without forming n^e when e alone shows it too large."""
     cap = degree_cap()
     if n > 1 and e > cap.bit_length():  # then n^e >= 2^e > cap
-        raise DegreeCapExceeded(f"result degree {n}^{e} exceeds the cap {cap}")
+        raise DegreeCapExceeded(f"result degree {n}^{_int_text(e)} exceeds the cap {cap}")
     check_degree(n ** e)
 
 
@@ -42,27 +43,20 @@ class Poly:
     trailing zero row, over one positive denominator `den`, in lowest terms.
     """
 
-    __slots__ = ("field", "num", "den", "_coeffs")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: FieldDesc, coeffs=()):
-        flat: list = []
-        pad = (0,) * (field.degree - 1)
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.desc != field:
-                    raise FieldMismatch(f"coefficient in {c.desc}, expected {field}")
-                flat += c.coords
-            else:
-                flat.append(c if isinstance(c, (int, Fraction)) else Fraction(c))
-                flat += pad
-        self._set(field, *_lift(flat))
+        rows = [c if isinstance(c, FieldElement) else FieldElement.rational(c, field)
+                for c in coeffs]
+        for c in rows:
+            if c.desc != field:
+                raise FieldMismatch(f"coefficient in {c.desc}, expected {field}")
+        den = math.lcm(*(c.den for c in rows))
+        self._set(field, [v * (den // c.den) for c in rows for v in c.num], den)
 
     def _set(self, field: FieldDesc, num: list[int], den: int) -> None:
         num, den = _lowest(_trim(num, field.degree), den)
-        self.field = field
-        self.num = tuple(num)
-        self.den = den
-        self._coeffs = None
+        self.field, self.num, self.den = field, tuple(num), den
 
     @classmethod
     def _from_ints(cls, field: FieldDesc, num: list[int], den: int) -> "Poly":
@@ -92,10 +86,8 @@ class Poly:
     # --- basic queries ---------------------------------------------------
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
-        """The coefficients as scalars, ascending; built on first use and kept."""
-        if self._coeffs is None:
-            self._coeffs = tuple(self.coeff(j) for j in range(len(self.num) // self.field.degree))
-        return self._coeffs
+        """The coefficients as scalars, ascending."""
+        return tuple(self.coeff(j) for j in range(len(self.num) // self.field.degree))
 
     @property
     def degree(self):
@@ -108,7 +100,7 @@ class Poly:
 
     @property
     def leading_coeff(self) -> FieldElement:
-        return self.coeff(self.degree) if self.num else FieldElement.zero(self.field)
+        return self.coeff(self.degree)
 
     def coeff(self, j: int) -> FieldElement:
         phi = self.field.degree
@@ -235,9 +227,9 @@ class Poly:
         """Descending powers, '^' for exponents, e.g. 'h^3 + 2*h - 1'."""
         if self.is_zero:
             return "0"
-        pieces: list[tuple[int, str]] = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            terms = self.coeffs[j]._terms_desc()
+        phi, pieces = self.field.degree, []
+        for j in range(len(self.num) // phi - 1, -1, -1):
+            terms = _row_terms(self.num[j * phi:(j + 1) * phi], self.den)
             if not terms:
                 continue
             sign, body = terms[0] if len(terms) == 1 else (1, signed_sum(terms))

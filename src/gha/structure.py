@@ -95,10 +95,10 @@ def find_shift_root(f: Poly) -> FieldElement | None:
     Only rational candidates are searched (rational root theorem); None
     means no rational root, including the case of irrational-only roots.
     """
-    p = f - Poly.gen(f.field)
-    if not all(c.is_rational_value for c in p.coeffs):
-        return None
-    ints = [int(c.as_fraction() * p.den) for c in p.coeffs]  # p.den: a common denominator
+    p, phi = f - Poly.gen(f.field), f.field.degree
+    if any(v for i, v in enumerate(p.num) if i % phi):
+        return None  # a coefficient is not rational
+    ints = p.num[::phi]  # the integer coefficients of p.den * p
     if not ints or not ints[0]:
         return FieldElement.zero(f.field)  # f(h) = h, or h divides f(h) - h
     for num in divisors(abs(ints[0])):

@@ -1,48 +1,47 @@
 """Independent cross-check for noncommutative products.
 
-Represents elements of the free algebra Q<x, h, y> as sparse maps from words
-(tuples over "x", "h", "y") to Fraction coefficients, multiplies by plain
-concatenation, and then rewrites to normal form with single-step rules
+Represents elements of the free algebra K<x, h, y>, K = Q or Q(zeta_m), as
+sparse maps from words (tuples over "x", "h", "y") to FieldElement
+coefficients, multiplies by plain concatenation, and then rewrites to
+normal form with single-step rules
 
     h x -> x f(h)        y h -> f(h) y        y x -> x y + f(h) - h
 
 applied leftmost-first until no redex remains.  Nothing here shares code
-with the package's multiplication, so agreement is meaningful evidence.
-Rational coefficients only.
+with the package's multiplication of elements or polynomials; only scalar
+arithmetic comes from the package, so agreement is meaningful evidence.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from gha.core import AlgebraElement, Context
+from gha.field import FieldElement
 from gha.poly import Poly
 
 Word = tuple[str, ...]
-FreeElement = dict[Word, Fraction]
+FreeElement = dict[Word, FieldElement]
 
 
 def _h_run(j: int) -> Word:
     return ("h",) * j
 
 
-def _poly_words(coeffs: list[Fraction], prefix: Word, suffix: Word) -> FreeElement:
+def _add_into(acc: FreeElement, word: Word, c: FieldElement) -> None:
+    """acc[word] += c, dropping the word when its coefficient cancels."""
+    new = acc[word] + c if word in acc else c
+    if new:
+        acc[word] = new
+    else:
+        acc.pop(word, None)
+
+
+def _poly_words(coeffs: list[FieldElement], prefix: Word, suffix: Word) -> FreeElement:
     """Words for prefix * p(h) * suffix with p given by ascending coeffs."""
     out: FreeElement = {}
     for j, c in enumerate(coeffs):
         if c:
-            word = prefix + _h_run(j) + suffix
-            out[word] = out.get(word, Fraction(0)) + c
+            _add_into(out, prefix + _h_run(j) + suffix, c)
     return out
-
-
-def _add_into(acc: FreeElement, words: FreeElement, scale: Fraction) -> None:
-    for word, c in words.items():
-        new = acc.get(word, Fraction(0)) + c * scale
-        if new:
-            acc[word] = new
-        else:
-            acc.pop(word, None)
 
 
 def _find_redex(word: Word) -> int | None:
@@ -53,7 +52,7 @@ def _find_redex(word: Word) -> int | None:
     return None
 
 
-def _rewrite_once(word: Word, f_coeffs: list[Fraction], pos: int) -> FreeElement:
+def _rewrite_once(word: Word, f_coeffs: list[FieldElement], pos: int) -> FreeElement:
     left, right = word[:pos], word[pos + 2 :]
     pair = word[pos] + word[pos + 1]
     if pair == "hx":
@@ -61,26 +60,22 @@ def _rewrite_once(word: Word, f_coeffs: list[Fraction], pos: int) -> FreeElement
     if pair == "yh":
         return _poly_words(f_coeffs, left, ("y",) + right)
     # yx -> xy + (f(h) - h)
-    shifted = list(f_coeffs) + [Fraction(0), Fraction(0)]
-    shifted[1] -= 1
+    zero = FieldElement.zero(f_coeffs[0].desc)
+    shifted = list(f_coeffs) + [zero, zero]
+    shifted[1] = shifted[1] - 1
     out = _poly_words(shifted, left, right)
-    swap = left + ("x", "y") + right
-    out[swap] = out.get(swap, Fraction(0)) + 1
-    return {w: c for w, c in out.items() if c}
+    _add_into(out, left + ("x", "y") + right, FieldElement.one(zero.desc))
+    return out
 
 
-def normalize(element: FreeElement, f_coeffs: list[Fraction]) -> FreeElement:
+def normalize(element: FreeElement, f_coeffs: list[FieldElement]) -> FreeElement:
     done: FreeElement = {}
-    stack = [(word, c) for word, c in element.items()]
+    stack = list(element.items())
     while stack:
         word, c = stack.pop()
         pos = _find_redex(word)
         if pos is None:
-            new = done.get(word, Fraction(0)) + c
-            if new:
-                done[word] = new
-            else:
-                done.pop(word, None)
+            _add_into(done, word, c)
             continue
         for new_word, nc in _rewrite_once(word, f_coeffs, pos).items():
             stack.append((new_word, nc * c))
@@ -91,24 +86,22 @@ def free_mul(a: FreeElement, b: FreeElement) -> FreeElement:
     out: FreeElement = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            _add_into(out, {wa + wb: Fraction(1)}, ca * cb)
+            _add_into(out, wa + wb, ca * cb)
     return out
 
 
 def from_algebra_element(e: AlgebraElement) -> FreeElement:
     out: FreeElement = {}
     for (i, k), g in e.terms.items():
-        for j in range(g.degree + 1):
-            c = g.coeff(j).as_fraction()
+        for j, c in enumerate(g.coeffs):
             if c:
-                word = ("x",) * i + _h_run(j) + ("y",) * k
-                out[word] = out.get(word, Fraction(0)) + c
+                _add_into(out, ("x",) * i + _h_run(j) + ("y",) * k, c)
     return out
 
 
 def to_algebra_element(element: FreeElement, ctx: Context) -> AlgebraElement:
     """Assumes every word is already in x^i h^j y^k shape."""
-    buckets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    buckets: dict[tuple[int, int], dict[int, FieldElement]] = {}
     for word, c in element.items():
         i = 0
         while i < len(word) and word[i] == "x":
@@ -117,20 +110,18 @@ def to_algebra_element(element: FreeElement, ctx: Context) -> AlgebraElement:
         while j < len(word) and word[j] == "h":
             j += 1
         assert all(ch == "y" for ch in word[j:]), word
-        key = (i, len(word) - j)
-        row = buckets.setdefault(key, {})
-        row[j - i] = row.get(j - i, Fraction(0)) + c
-    terms = {}
-    for key, row in buckets.items():
-        top = max(row)
-        coeffs = tuple(row.get(d, Fraction(0)) for d in range(top + 1))
-        terms[key] = Poly(ctx.field, coeffs)
+        row = buckets.setdefault((i, len(word) - j), {})
+        row[j - i] = row[j - i] + c if j - i in row else c
+    zero = FieldElement.zero(ctx.field)
+    terms = {
+        key: Poly(ctx.field, [row.get(d, zero) for d in range(max(row) + 1)])
+        for key, row in buckets.items()
+    }
     return AlgebraElement(ctx, terms)
 
 
 def oracle_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     ctx = a.ctx
-    top = -1 if ctx.f.is_zero else int(ctx.f.degree)
-    f_coeffs = [ctx.f.coeff(j).as_fraction() for j in range(top + 1)]
+    f_coeffs = list(ctx.f.coeffs) or [FieldElement.zero(ctx.field)]
     raw = free_mul(from_algebra_element(a), from_algebra_element(b))
     return to_algebra_element(normalize(raw, f_coeffs), ctx)

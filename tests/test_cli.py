@@ -10,6 +10,8 @@ import pytest
 
 from gha import cli
 from gha.cli import build_parser, run
+from gha.core import AlgebraElement
+from gha.poly import Poly
 from gha.poly import degree_cap
 
 
@@ -294,7 +296,9 @@ def test_field_degree_over_the_cap_fails_fast(capsys, field):
 
 
 def test_field_degree_under_the_cap_succeeds(capsys):
+    start = time.perf_counter()
     code, out, _ = invoke(capsys, "--field", "Q(zeta_100000)", "--f", "h^2", "nf", "y*x")
+    assert time.perf_counter() - start < 1
     assert code == 0  # phi(100000) = 40000
     assert out == "(h^2 - h) + x^1 * (1) * y^1"
 
@@ -375,3 +379,115 @@ def test_run_builds_the_parser_at_most_once(monkeypatch, capsys):
         cli._parser.cache_clear()
     capsys.readouterr()
     assert len(calls) == 1
+
+
+# --- golden output, long integers, one output per request --------------------------
+
+# stdout of each request in text and in --json; Q(zeta_5) and Q(zeta_12) rows
+# carry zero middle coordinates and negative and fractional ones
+GOLDEN = [
+    (["--f", "h^2 - 1/2*h", "nf", "3/4*y*x - h"],
+     "(3/4*h^2 - 17/8*h) + x^1 * (3/4) * y^1",
+     '{"f": ["0", "-1/2", "1"], "field": "Q", "terms": [{"i": 0, "k": 0, "poly": '
+     '["0", "-17/8", "3/4"]}, {"i": 1, "k": 1, "poly": ["3/4"]}]}'),
+    (["--f", "h^3 + 3*h^2 + 2*h - 1", "aut"],
+     "Aut(H(f)) ≅ C* x Z_2; generator: a=-1, b=-2",
+     '{"n": 3, "cyclic_order": 2, "a": "-1", "b": "-2", "field": "Q", "group": "C* x Z_2"}'),
+    (["--f", "h^2", "derivation-classify", "--dx=-7/3*x", "--dy=7/3*y", "--dh=0"],
+     "lambda = -7/3",
+     '{"lambda": "-7/3"}'),
+    (["--field", "Q(zeta_5)", "--f", "h^2 + zeta^3*h", "nf", "(zeta^3 - 1/2*zeta)*y*x"],
+     "((zeta^3 - 1/2*zeta)*h^2 + (-1/2*zeta^3 + 1/2*zeta^2 + 2*zeta + 1/2)*h)"
+     " + x^1 * (zeta^3 - 1/2*zeta) * y^1",
+     '{"f": [["0", "0", "0", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"]], '
+     '"field": "Q(zeta_5)", "terms": [{"i": 0, "k": 0, "poly": [["0", "0", "0", "0"], '
+     '["1/2", "2", "1/2", "-1/2"], ["0", "-1/2", "0", "1"]]}, {"i": 1, "k": 1, "poly": '
+     '[["0", "-1/2", "0", "1"]]}]}'),
+    (["--field", "Q(zeta_5)", "--f", "h^5 + zeta*h", "aut"],
+     "Aut(H(f)) ≅ C* x Z_4; generator: a=zeta^5, b=0 (field Q(zeta_20))",
+     '{"n": 5, "cyclic_order": 4, "a": ["0", "0", "0", "0", "0", "1", "0", "0"], '
+     '"b": ["0", "0", "0", "0", "0", "0", "0", "0"], "field": "Q(zeta_20)", '
+     '"group": "C* x Z_4"}'),
+    (["--field", "Q(zeta_5)", "--f", "h^2 + zeta^3*h", "derivation-classify",
+      "--dx=(zeta^3 - 2)*x", "--dy=-(zeta^3 - 2)*y", "--dh=0"],
+     "lambda = zeta^3 - 2",
+     '{"lambda": ["-2", "0", "0", "1"]}'),
+    (["--field", "Q(zeta_12)", "--f", "h^2 - 2/3*zeta*h", "nf",
+      "(-3/7*zeta^3 + 5/2*zeta - 1)*x*h"],
+     "x^1 * ((-3/7*zeta^3 + 5/2*zeta - 1)*h)",
+     '{"f": [["0", "0", "0", "0"], ["0", "-2/3", "0", "0"], ["1", "0", "0", "0"]], '
+     '"field": "Q(zeta_12)", "terms": [{"i": 1, "k": 0, "poly": [["0", "0", "0", "0"], '
+     '["-1", "5/2", "0", "-3/7"]]}]}'),
+    (["--field", "Q(zeta_12)", "--f", "(h + 1/2)^4 - 2/3*zeta*(h + 1/2) - 1/2", "aut"],
+     "Aut(H(f)) ≅ C* x Z_3; generator: a=zeta^2 - 1, b=1/2*zeta^2 - 1 (field Q(zeta_12))",
+     '{"n": 4, "cyclic_order": 3, "a": ["-1", "0", "1", "0"], "b": ["-1", "0", "1/2", "0"], '
+     '"field": "Q(zeta_12)", "group": "C* x Z_3"}'),
+    (["--field", "Q(zeta_12)", "--f", "h^2", "derivation-classify",
+      "--dx=(-3/4*zeta^2 + 1/5)*x", "--dy=(3/4*zeta^2 - 1/5)*y", "--dh=0"],
+     "lambda = -3/4*zeta^2 + 1/5",
+     '{"lambda": ["1/5", "0", "-3/4", "0"]}'),
+]
+
+
+@pytest.mark.parametrize("argv,text,doc", GOLDEN, ids=lambda v: None)
+def test_golden_output(capsys, argv, text, doc):
+    assert invoke(capsys, *argv) == (0, text, "")
+    assert invoke(capsys, "--json", *argv) == (0, doc, "")
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n >= 0 in chunks of 1000, each short enough for str()."""
+    chunks = []
+    while n >= 10 ** 1000:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(str(low).zfill(1000))
+    return str(n) + "".join(reversed(chunks))
+
+
+SEVENS = "7" * 5000  # longer than the 4300 digits str() and int() allow by default
+
+
+def test_long_integer_output(capsys):
+    power = _digits(2 ** 20000)
+    assert invoke(capsys, "--f", "h^2", "nf", "2^20000") == (0, f"({power})", "")
+    code, out, err = invoke(capsys, "--f", "h^2", "--json", "nf", "2^20000")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["terms"] == [{"i": 0, "k": 0, "poly": [power]}]
+
+
+def test_long_integer_literals(capsys):
+    assert invoke(capsys, "--f", "h^2", "nf", f"{SEVENS}*x") == (0, f"x^1 * ({SEVENS})", "")
+    code, out, err = invoke(capsys, "--f", f"h^2+{SEVENS}", "nf", "y*x")
+    assert (code, err) == (0, "")
+    assert out == f"(h^2 - h + {SEVENS}) + x^1 * (1) * y^1"
+    code, out, _ = invoke(capsys, "--f", "h^2", "--json", "nf", f"1/{SEVENS}*x")
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"i": 1, "k": 0, "poly": [f"1/{SEVENS}"]}]
+    assert invoke(capsys, "--f", "h^2", "nf", f"x^{SEVENS}") == (0, f"x^{SEVENS} * (1)", "")
+
+
+def test_superscript_digit_is_a_syntax_error(capsys):
+    code, out, err = invoke(capsys, "--f", "h^2", "nf", "x^²")
+    assert (code, out) == (2, "")
+    assert "offset 2" in err
+
+
+def test_text_mode_builds_no_json(monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("JSON built in text mode")
+
+    monkeypatch.setattr(cli, "_poly_json", refuse)
+    monkeypatch.setattr(cli, "_scalar_json", refuse)
+    assert invoke(capsys, "--f", "h^2", "nf", "y*x")[0] == 0
+    assert invoke(capsys, "--f", "h^3 - h", "aut")[0] == 0
+    assert invoke(capsys, "--f", "h^2", "noetherian", "--max-n", "1")[0] == 0
+
+
+def test_json_mode_builds_no_text(monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("text built in JSON mode")
+
+    monkeypatch.setattr(AlgebraElement, "to_text", refuse)
+    monkeypatch.setattr(Poly, "to_text", refuse)
+    assert invoke(capsys, "--f", "h^2", "--json", "nf", "y*x")[0] == 0
+    assert invoke(capsys, "--f", "h^2", "--json", "center", "x*y - h")[0] == 0

@@ -158,6 +158,20 @@ def test_multiply_matches_free_rewriter():
         assert multiply(a, b) == oracle_product(a, b)
 
 
+@pytest.mark.parametrize("m", [3, 4])
+def test_multiply_matches_free_rewriter_over_cyclotomic_fields(m):
+    rng = random.Random(2100 + m)
+    ctx = ctx_for("h^2 + zeta*h", FieldDesc(m))
+    x, y, h, _ = generators(ctx)
+    zeta = FieldElement.zeta(ctx.field)
+    assert multiply(y, x) == oracle_product(y, x)
+    assert multiply(h * zeta, x) == oracle_product(h * zeta, x)
+    for _ in range(15):
+        a = random_element(rng, ctx, max_ik=2, max_degree=2, span=2)
+        b = random_element(rng, ctx, max_ik=2, max_degree=2, span=2)
+        assert multiply(a, b) == oracle_product(a, b)
+
+
 def test_commutation_identities_small():
     # [y, x^k] = x^{k-1}(sigma^k(h) - h) and [y^k, x] = (sigma^k(h) - h)y^{k-1}
     for ftxt in ("h^2", "h^3+h"):

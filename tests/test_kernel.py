@@ -7,14 +7,16 @@ reference shares no code with the package.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from gha.field import FieldDesc, FieldElement  # noqa: E402
-from gha.parser import parse_poly  # noqa: E402
+from gha.core import AlgebraElement, Context  # noqa: E402
+from gha.field import FieldDesc, FieldElement, _int_text, _text_int  # noqa: E402
+from gha.parser import parse_element, parse_poly  # noqa: E402
 from gha.poly import Poly, poly_gcd  # noqa: E402
 
 PHI = {  # ascending coefficients of Phi_m
@@ -112,8 +114,15 @@ def scalar(draw, m):
 
 
 @st.composite
-def ref_poly(draw, m, max_degree=5):
-    return ref_trim(m, draw(st.lists(scalar(m), max_size=max_degree + 1)))
+def low_scalar(draw, m):
+    """A scalar whose zeta powers stop at a drawn top, often below phi - 1."""
+    top = draw(st.integers(-1, len(PHI[m]) - 2))
+    return tuple(c if j <= top else Fraction(0) for j, c in enumerate(draw(scalar(m))))
+
+
+@st.composite
+def ref_poly(draw, m, max_degree=5, coeff=scalar):
+    return ref_trim(m, draw(st.lists(coeff(m), max_size=max_degree + 1)))
 
 
 def to_poly(m, p):
@@ -126,9 +135,9 @@ def data(p: Poly):
 
 
 @st.composite
-def case(draw, n=2, max_degree=5):
+def case(draw, n=2, max_degree=5, coeff=scalar):
     m = draw(st.sampled_from(FIELDS))
-    return (m,) + tuple(draw(ref_poly(m, max_degree)) for _ in range(n))
+    return (m,) + tuple(draw(ref_poly(m, max_degree, coeff)) for _ in range(n))
 
 
 KERNEL = settings(max_examples=60, deadline=None)
@@ -204,6 +213,19 @@ def test_monic_derivative_and_evaluation(c, draw):
     assert P(FieldElement(FieldDesc(m), x)).coords == ref_eval(m, p, x)
 
 
+@KERNEL
+@given(case(coeff=low_scalar))
+def test_products_of_rows_with_low_zeta_powers_match_reference(c):
+    # rows that stop below zeta^(phi-1) are spread to a narrower stride
+    m, p, q = c
+    P, Q = to_poly(m, p), to_poly(m, q)
+    assert data(P * Q) == ref_pmul(m, p, q)
+    assert data(P.compose(Q)) == ref_compose(m, p, q)
+    for a, b in zip(p, q):
+        A, B = FieldElement(FieldDesc(m), a), FieldElement(FieldDesc(m), b)
+        assert (A * B).coords == ref_mul(m, a, b)
+
+
 # --- FieldElement --------------------------------------------------------------------
 
 
@@ -219,6 +241,37 @@ def test_scalar_mul_and_inverse_match_reference(c):
     else:
         with pytest.raises(ZeroDivisionError):
             A.inverse()
+
+
+@KERNEL
+@given(st.sampled_from(FIELDS).flatmap(lambda m: st.tuples(st.just(m), scalar(m))),
+       st.integers(1, 50))
+def test_scalar_pair_is_canonical_and_round_trips(c, k):
+    m, a = c
+    field = FieldDesc(m)
+    e = FieldElement(field, a)
+    assert e.coords == a
+    assert e.den > 0 and gcd(e.den, *e.num) == 1
+    for other in (FieldElement(field, e.coords), (e * k) / k, (e + FieldElement.one(field)) - 1):
+        assert other == e
+        assert hash(other) == hash(e)
+        assert (other.num, other.den) == (e.num, e.den)
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n in chunks of 1000, each short enough for str()."""
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while n >= 10 ** 1000:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(str(low).zfill(1000))
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+@KERNEL
+@given(st.integers(-(10 ** 6000), 10 ** 6000))
+def test_int_text_has_no_digit_limit(n):
+    assert _int_text(n) == _digits(n)
+    assert _text_int(_digits(abs(n))) == abs(n)
 
 
 # --- canonical form ---------------------------------------------------------------------
@@ -251,3 +304,27 @@ def test_print_parse_round_trip(c):
     m, p = c
     P = to_poly(m, p)
     assert parse_poly(P.to_text(), FieldDesc(m)) == P
+
+
+def _context(m):
+    return Context(parse_poly("h^2 + zeta*h", FieldDesc(m)))
+
+
+CONTEXTS = {m: _context(m) for m in FIELDS}
+
+
+@st.composite
+def element(draw, m):
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                 ref_poly(m, max_degree=2), max_size=3))
+    return AlgebraElement(CONTEXTS[m], {key: to_poly(m, p) for key, p in terms.items()})
+
+
+@KERNEL
+@given(st.sampled_from(FIELDS).flatmap(lambda m: st.tuples(element(m), scalar(m))))
+def test_element_print_parse_round_trip(c):
+    e, a = c
+    ctx = e.ctx
+    assert parse_element(e.to_text(), ctx) == e
+    scalar_value = FieldElement(ctx.field, a)
+    assert parse_element(str(scalar_value), ctx) == AlgebraElement.from_scalar(ctx, scalar_value)
