@@ -326,8 +326,9 @@ RATIONALS = FieldDesc(1)
 class FieldElement:
     """An exact scalar reduced mod Phi_m; immutable and hashable.
 
-    Stored as the kernel pair of one row: the phi(m) integer coordinates
-    `num` over the positive denominator `den`, in lowest terms.
+    Built from phi(m) exact coordinates (ints, Fractions or floats) and
+    stored as the kernel pair of one row: the integer coordinates `num`
+    over the positive denominator `den`, in lowest terms.
     """
 
     __slots__ = ("desc", "num", "den")
@@ -335,10 +336,9 @@ class FieldElement:
     def __init__(self, desc: FieldDesc, coords):
         if len(coords) != desc.degree:
             raise ValueError(f"expected {desc.degree} coordinates for {desc}, got {len(coords)}")
-        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in coords]
-        # over the least common denominator, Fractions in lowest terms stay so
-        self.desc, self.den = desc, math.lcm(*(v.denominator for v in values))
-        self.num = tuple(v.numerator * (self.den // v.denominator) for v in values)
+        ratios = [v.as_integer_ratio() for v in coords]  # lowest terms, and so over their lcm
+        self.desc, self.den = desc, math.lcm(*[d for _, d in ratios])
+        self.num = tuple([n * (self.den // d) for n, d in ratios])
 
     @classmethod
     def _from_ints(cls, desc: FieldDesc, num, den: int) -> "FieldElement":
