@@ -139,8 +139,14 @@ def _poly_json(p: Poly) -> list:
 def _element_out(args, e: AlgebraElement):
     if not args.json:
         return e.to_text()
-    terms = [{"i": i, "k": k, "poly": _poly_json(e.terms[(i, k)])} for (i, k) in sorted(e.terms)]
-    return {"f": _poly_json(e.ctx.f), "field": str(e.ctx.field), "terms": terms}
+    return {
+        "f": _poly_json(e.ctx.f),
+        "field": str(e.ctx.field),
+        "terms": [
+            {"i": i, "k": k, "poly": _poly_json(e.terms[(i, k)])}
+            for (i, k) in sorted(e.terms)
+        ],
+    }
 
 
 def _cmd_nf(ctx, args):
@@ -155,9 +161,13 @@ def _cmd_commutator(ctx, args):
 def _cmd_classify(ctx, args):
     c = classify(ctx)
     if args.json:
-        return {"deg_f": c.deg_f, "is_domain": c.is_domain, "is_noetherian": c.is_noetherian,
-                "is_generalized_down_up": c.is_generalized_down_up,
-                "center": c.center_description.value}
+        return {
+            "deg_f": c.deg_f,
+            "is_domain": c.is_domain,
+            "is_noetherian": c.is_noetherian,
+            "is_generalized_down_up": c.is_generalized_down_up,
+            "center": c.center_description.value,
+        }
     return "\n".join([
         f"deg f: {c.deg_f}",
         f"domain: {str(c.is_domain).lower()}",
@@ -179,15 +189,18 @@ def _cmd_zh_member(ctx, args):
     if comps is None:
         return {"member": False, "components": None} if args.json else "none"
     if args.json:
-        return {"member": True, "components": {str(k): _poly_json(p) for k, p in comps.items()}}
+        return {"member": True,
+                "components": {str(k): _poly_json(p) for k, p in comps.items()}}
     return "; ".join(f"p_{k} = {p.to_text()}" for k, p in comps.items()) or "p_0 = 0"
 
 
 def _cmd_noetherian(ctx, args):
     reports = noetherian_witness(ctx, args.max_n)
     if args.json:
-        return {"reports": [{"n": r.n, "gcd": _poly_json(r.generator_gcd), "member": r.is_member}
-                            for r in reports]}
+        return {"reports": [
+            {"n": r.n, "gcd": _poly_json(r.generator_gcd), "member": r.is_member}
+            for r in reports
+        ]}
     return "\n".join(
         f"n={r.n}: gcd = {r.generator_gcd.to_text()}, member = {str(r.is_member).lower()}"
         for r in reports
@@ -205,10 +218,18 @@ def _cmd_aut(ctx, args):
     group = automorphism_group(ctx)
     a, b = group.generator
     if args.json:
-        return {"n": group.n, "cyclic_order": group.cyclic_order, "a": _scalar_json(a),
-                "b": _scalar_json(b), "field": str(group.field), "group": group.describe()}
+        return {
+            "n": group.n,
+            "cyclic_order": group.cyclic_order,
+            "a": _scalar_json(a),
+            "b": _scalar_json(b),
+            "field": str(group.field),
+            "group": group.describe(),
+        }
     text = f"Aut(H(f)) ≅ {group.describe()}; generator: a={a}, b={b}"
-    return text if group.field.is_rational else text + f" (field {group.field})"
+    if not group.field.is_rational:
+        text += f" (field {group.field})"
+    return text
 
 
 def _parse_derivation(ctx, args) -> DerivationSpec:
@@ -261,7 +282,8 @@ def run(argv=None) -> int:
         set_degree_cap(args.degree_cap)
     try:
         f = parse_poly(args.f, args.field)
-        out = _COMMANDS[args.command](Context(f), args)
+        ctx = Context(f)
+        out = _COMMANDS[args.command](ctx, args)
         print(json.dumps(out) if args.json else out)
         return 0
     except ParseError as exc:

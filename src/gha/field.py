@@ -100,8 +100,11 @@ def _ratio_text(n: int, d: int) -> str:
 
 def _row_terms(row, den: int) -> list[tuple[int, str]]:
     """(sign, magnitude text) of each nonzero coordinate of row / den, highest zeta power first."""
-    return [(-1 if row[j] < 0 else 1, monomial(_ratio_text(abs(row[j]), den), "zeta", j))
-            for j in reversed(list(compress(range(len(row)), row)))]
+    out = []
+    for j in reversed(list(compress(range(len(row)), row))):
+        c = row[j]
+        out.append((-1 if c < 0 else 1, monomial(_ratio_text(abs(c), den), "zeta", j)))
+    return out
 
 
 def power(base, e: int, one):
@@ -117,6 +120,17 @@ def power(base, e: int, one):
 
 
 # --- the coefficient kernel ------------------------------------------------
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of anything Fraction() takes."""
+    return (value if isinstance(value, (int, Fraction)) else Fraction(value)).as_integer_ratio()
+
+
+def _join(rows) -> tuple[list[int], int]:
+    """Rows (num, den), concatenated as integer numerators over their least common denominator."""
+    den = math.lcm(*[d for _, d in rows])
+    return [v * (den // d) for num, d in rows for v in num], den
 
 
 def _lowest(num: list[int], den: int) -> tuple[list[int], int]:
@@ -185,7 +199,7 @@ def _reduce(num: list[int], field: "FieldDesc", stride: int) -> list[int]:
 
 def _top(num: list[int], phi: int) -> int:
     """The highest zeta power with a nonzero coordinate in some row of num; -1 if none."""
-    if any(num[phi - 1::phi]):  # the common case, some row dense to the top
+    if any(num[phi - 1::phi]):  # a row dense to the top: most operands, skip the scan
         return phi - 1
     top = -1
     for s in range(0, len(num), phi):
@@ -326,7 +340,7 @@ RATIONALS = FieldDesc(1)
 class FieldElement:
     """An exact scalar reduced mod Phi_m; immutable and hashable.
 
-    Built from phi(m) exact coordinates (ints, Fractions or floats) and
+    Built from phi(m) exact coordinates (anything Fraction() takes) and
     stored as the kernel pair of one row: the integer coordinates `num`
     over the positive denominator `den`, in lowest terms.
     """
@@ -335,25 +349,31 @@ class FieldElement:
 
     def __init__(self, desc: FieldDesc, coords):
         if len(coords) != desc.degree:
-            raise ValueError(f"expected {desc.degree} coordinates for {desc}, got {len(coords)}")
-        ratios = [v.as_integer_ratio() for v in coords]  # lowest terms, and so over their lcm
-        self.desc, self.den = desc, math.lcm(*[d for _, d in ratios])
-        self.num = tuple([n * (self.den // d) for n, d in ratios])
+            raise ValueError(
+                f"expected {desc.degree} coordinates for {desc}, "
+                f"got {len(coords)}"
+            )
+        # each coordinate a row of one; lowest terms, as each ratio is
+        num, den = _join([((n,), d) for n, d in map(_ratio, coords)])
+        self.desc = desc
+        self.num = tuple(num)
+        self.den = den
 
     @classmethod
     def _from_ints(cls, desc: FieldDesc, num, den: int) -> "FieldElement":
         """The scalar num / den from one kernel row, brought to lowest terms."""
         num, den = _lowest(num, den)
         e = cls.__new__(cls)
-        e.desc, e.num, e.den = desc, tuple(num), den
+        e.desc = desc
+        e.num = tuple(num)
+        e.den = den
         return e
 
     # --- construction -------------------------------------------------
     @staticmethod
     def rational(value, desc: FieldDesc = RATIONALS) -> "FieldElement":
-        c = value if isinstance(value, (int, Fraction)) else Fraction(value)
-        return FieldElement._from_ints(desc, (c.numerator,) + (0,) * (desc.degree - 1),
-                                       c.denominator)
+        n, d = _ratio(value)
+        return FieldElement._from_ints(desc, (n,) + (0,) * (desc.degree - 1), d)
 
     @staticmethod
     def zero(desc: FieldDesc) -> "FieldElement":
@@ -421,7 +441,9 @@ class FieldElement:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self + -o
+        if o is None:
+            return NotImplemented
+        return self + -o
 
     def __rsub__(self, other):
         return -(self - other)
@@ -447,11 +469,15 @@ class FieldElement:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inverse()
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
 
     def __pow__(self, e: int) -> "FieldElement":
         if not isinstance(e, int):
@@ -485,7 +511,8 @@ class FieldElement:
         terms = _row_terms(self.num, self.den)
         return signed_sum(terms) if terms else "0"
 
-    __repr__ = __str__
+    def __repr__(self):
+        return str(self)
 
 
 def cyclotomic_polynomial(m: int):

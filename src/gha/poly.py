@@ -9,12 +9,11 @@ growing operations check a global degree cap first.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
-from .field import (FieldDesc, FieldElement, _add, _divmod, _int_text, _inverse, _lowest, _mul,
-                    _row_terms, _trim, degree_cap, monomial, power, signed_sum)
+from .field import (FieldDesc, FieldElement, _add, _divmod, _int_text, _inverse, _join, _lowest,
+                    _mul, _row_terms, _trim, degree_cap, monomial, power, signed_sum)
 from .field import set_degree_cap  # noqa: F401  (re-exported: gha.poly.set_degree_cap)
 
 NEG_INF = float("-inf")
@@ -51,12 +50,13 @@ class Poly:
         for c in rows:
             if c.desc != field:
                 raise FieldMismatch(f"coefficient in {c.desc}, expected {field}")
-        den = math.lcm(*(c.den for c in rows))
-        self._set(field, [v * (den // c.den) for c in rows for v in c.num], den)
+        self._set(field, *_join([(c.num, c.den) for c in rows]))
 
     def _set(self, field: FieldDesc, num: list[int], den: int) -> None:
         num, den = _lowest(_trim(num, field.degree), den)
-        self.field, self.num, self.den = field, tuple(num), den
+        self.field = field
+        self.num = tuple(num)
+        self.den = den
 
     @classmethod
     def _from_ints(cls, field: FieldDesc, num: list[int], den: int) -> "Poly":
@@ -227,7 +227,8 @@ class Poly:
         """Descending powers, '^' for exponents, e.g. 'h^3 + 2*h - 1'."""
         if self.is_zero:
             return "0"
-        phi, pieces = self.field.degree, []
+        phi = self.field.degree
+        pieces: list[tuple[int, str]] = []
         for j in range(len(self.num) // phi - 1, -1, -1):
             terms = _row_terms(self.num[j * phi:(j + 1) * phi], self.den)
             if not terms:

@@ -95,7 +95,8 @@ def find_shift_root(f: Poly) -> FieldElement | None:
     Only rational candidates are searched (rational root theorem); None
     means no rational root, including the case of irrational-only roots.
     """
-    p, phi = f - Poly.gen(f.field), f.field.degree
+    p = f - Poly.gen(f.field)
+    phi = f.field.degree
     if any(v for i, v in enumerate(p.num) if i % phi):
         return None  # a coefficient is not rational
     ints = p.num[::phi]  # the integer coefficients of p.den * p

@@ -1,7 +1,7 @@
-"""Seeded random builders shared by the test modules.
+"""Seeded random builders and reference arithmetic shared by the test modules.
 
-Everything takes an explicit random.Random so failures reproduce from the
-seed alone.
+Everything random takes an explicit random.Random so failures reproduce
+from the seed alone.  The references share no code with the package.
 """
 
 from __future__ import annotations
@@ -12,6 +12,38 @@ from fractions import Fraction
 from gha.core import AlgebraElement, Context
 from gha.field import FieldElement
 from gha.poly import Poly
+
+PHI = {  # ascending coefficients of Phi_m
+    1: (-1, 1),
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    5: (1, 1, 1, 1, 1),
+    7: (1, 1, 1, 1, 1, 1, 1),
+    12: (1, 0, -1, 0, 1),
+}
+
+
+def ref_mul(m, a, b):
+    """Product of two scalars of Q(zeta_m), given as tuples of phi(m) Fractions."""
+    phi = len(PHI[m]) - 1
+    prod = [Fraction(0)] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for e in range(len(prod) - 1, phi - 1, -1):  # Phi_m is monic
+        c = prod[e]
+        for t in range(phi + 1):
+            prod[e - phi + t] -= c * PHI[m][t]
+    return tuple(prod[:phi])
+
+
+def digits(n: int) -> str:
+    """Decimal digits of n in chunks of 1000, each short enough for str()."""
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while n >= 10 ** 1000:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(str(low).zfill(1000))
+    return sign + str(n) + "".join(reversed(chunks))
 
 
 def random_fraction(rng: random.Random, span: int = 5) -> Fraction:

@@ -14,6 +14,8 @@ from gha.core import AlgebraElement
 from gha.poly import Poly
 from gha.poly import degree_cap
 
+from .helpers import digits
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -435,20 +437,11 @@ def test_golden_output(capsys, argv, text, doc):
     assert invoke(capsys, "--json", *argv) == (0, doc, "")
 
 
-def _digits(n: int) -> str:
-    """Decimal digits of n >= 0 in chunks of 1000, each short enough for str()."""
-    chunks = []
-    while n >= 10 ** 1000:
-        n, low = divmod(n, 10 ** 1000)
-        chunks.append(str(low).zfill(1000))
-    return str(n) + "".join(reversed(chunks))
-
-
 SEVENS = "7" * 5000  # longer than the 4300 digits str() and int() allow by default
 
 
 def test_long_integer_output(capsys):
-    power = _digits(2 ** 20000)
+    power = digits(2 ** 20000)
     assert invoke(capsys, "--f", "h^2", "nf", "2^20000") == (0, f"({power})", "")
     code, out, err = invoke(capsys, "--f", "h^2", "--json", "nf", "2^20000")
     assert (code, err) == (0, "")

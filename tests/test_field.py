@@ -21,6 +21,7 @@ from gha.field import (
     euler_phi,
     set_degree_cap,
 )
+from gha.poly import Poly
 
 Q3 = FieldDesc(3)
 Q4 = FieldDesc(4)
@@ -236,6 +237,16 @@ def test_int_and_fraction_coercion():
     assert z * 2 == z + z
     assert (z - Fraction(1, 2)) + Fraction(1, 2) == z
     assert 1 - z == -(z - 1)
+
+
+def test_constructors_take_what_fraction_takes():
+    want = FieldElement(Q4, (Fraction(1, 2), Fraction(-3)))
+    assert FieldElement(Q4, ("1/2", "-3")) == want
+    assert FieldElement(Q4, (0.5, -3)) == want
+    assert FieldElement.rational("-7/14") == FieldElement(RATIONALS, ("-1/2",))
+    assert Poly(Q4, ("1/2", want)) == Poly(Q4, (FieldElement.rational(Fraction(1, 2), Q4), want))
+    with pytest.raises(ValueError):
+        FieldElement(Q4, ("1/2", "three"))
 
 
 def test_display_forms():

@@ -1,9 +1,9 @@
 """Property tests of the integer coefficient kernel behind Poly and FieldElement.
 
-Every operation is checked against a naive reference written here over
-tuples of Fraction coordinates: schoolbook products reduced by long
-division with Phi_m, whose coefficients are written out by hand, so the
-reference shares no code with the package.
+Every operation is checked against a naive reference over tuples of
+Fraction coordinates, written here and in helpers: schoolbook products
+reduced by long division with Phi_m, whose coefficients are written out
+by hand, so the reference shares no code with the package.
 """
 
 from fractions import Fraction
@@ -19,14 +19,8 @@ from gha.field import FieldDesc, FieldElement, _int_text, _text_int  # noqa: E40
 from gha.parser import parse_element, parse_poly  # noqa: E402
 from gha.poly import Poly, poly_gcd  # noqa: E402
 
-PHI = {  # ascending coefficients of Phi_m
-    1: (-1, 1),
-    3: (1, 1, 1),
-    4: (1, 0, 1),
-    5: (1, 1, 1, 1, 1),
-    7: (1, 1, 1, 1, 1, 1, 1),
-    12: (1, 0, -1, 0, 1),
-}
+from .helpers import PHI, digits, ref_mul  # noqa: E402
+
 FIELDS = sorted(PHI)
 
 # --- the reference: scalars are tuples of phi Fractions, polynomials lists of them
@@ -42,19 +36,6 @@ def ref_add(a, b):
 
 def ref_neg(a):
     return tuple(-x for x in a)
-
-
-def ref_mul(m, a, b):
-    phi = len(PHI[m]) - 1
-    prod = [Fraction(0)] * (2 * phi - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    for e in range(len(prod) - 1, phi - 1, -1):  # Phi_m is monic
-        c = prod[e]
-        for t in range(phi + 1):
-            prod[e - phi + t] -= c * PHI[m][t]
-    return tuple(prod[:phi])
 
 
 def ref_trim(m, p):
@@ -258,20 +239,11 @@ def test_scalar_pair_is_canonical_and_round_trips(c, k):
         assert (other.num, other.den) == (e.num, e.den)
 
 
-def _digits(n: int) -> str:
-    """Decimal digits of n in chunks of 1000, each short enough for str()."""
-    sign, n, chunks = "-" if n < 0 else "", abs(n), []
-    while n >= 10 ** 1000:
-        n, low = divmod(n, 10 ** 1000)
-        chunks.append(str(low).zfill(1000))
-    return sign + str(n) + "".join(reversed(chunks))
-
-
 @KERNEL
 @given(st.integers(-(10 ** 6000), 10 ** 6000))
 def test_int_text_has_no_digit_limit(n):
-    assert _int_text(n) == _digits(n)
-    assert _text_int(_digits(abs(n))) == abs(n)
+    assert _int_text(n) == digits(n)
+    assert _text_int(digits(abs(n))) == abs(n)
 
 
 # --- canonical form ---------------------------------------------------------------------
