@@ -15,7 +15,8 @@ from itertools import compress
 
 from .core import AlgebraElement, Context, commutator, sigma_h0
 from .errors import GhaError, ParseError
-from .field import RATIONALS, FieldDesc, FieldElement, _ratio_text, degree_cap, set_degree_cap
+from .field import (RATIONALS, FieldDesc, FieldElement, _int_text, _ratio_text, degree_cap,
+                    set_degree_cap)
 from .morphisms import (
     DerivationSpec,
     automorphism_group,
@@ -130,6 +131,17 @@ def _scalar_json(c: FieldElement):
 
 def _poly_json(p: Poly) -> list:
     return [_scalar_json(c) for c in p.coeffs]
+
+
+def _json_text(value) -> str:
+    """json.dumps(value), also for ints of more digits than int.__repr__ writes."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _int_text(value)
+    return json.dumps(value)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -284,7 +296,7 @@ def run(argv=None) -> int:
         f = parse_poly(args.f, args.field)
         ctx = Context(f)
         out = _COMMANDS[args.command](ctx, args)
-        print(json.dumps(out) if args.json else out)
+        print(_json_text(out) if args.json else out)
         return 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

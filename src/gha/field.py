@@ -353,10 +353,10 @@ class FieldElement:
                 f"expected {desc.degree} coordinates for {desc}, "
                 f"got {len(coords)}"
             )
-        # each coordinate a row of one; lowest terms, as each ratio is
-        num, den = _join([((n,), d) for n, d in map(_ratio, coords)])
+        ratios = [_ratio(c) for c in coords]
+        den = math.lcm(*[d for _, d in ratios])  # lowest terms, as each ratio is
         self.desc = desc
-        self.num = tuple(num)
+        self.num = tuple([n * (den // d) for n, d in ratios])
         self.den = den
 
     @classmethod

@@ -8,17 +8,21 @@ phi_lambda times a finite cyclic part of x-fixing maps
     x -> x,  y -> a*y,  h -> a*h + b,
 
 cut out by the polynomial identity f(a*h + b) = a*f(h) + b together
-with a^(n-1) = 1 and b = (a - 1)*a_{n-1} / (n*a_n).
+with a^(n-1) = 1 and b = (a - 1)*a_{n-1} / (n*a_n).  Its order is not
+searched for: it is read off f(u + c) - c, for c the point that every
+such h -> a*h + b fixes (see automorphism_group).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import AlgebraElement, Context, generators, homogeneous_parts, multiply
 from .errors import FieldMismatch, UnsupportedCase
-from .field import FieldDesc, FieldElement, divisors
+from .field import FieldDesc, FieldElement
 from .poly import Poly
+from .structure import shift_polynomial
 
 
 @dataclass(frozen=True)
@@ -202,27 +206,23 @@ def _root_of_unity(desc: FieldDesc, d: int) -> FieldElement:
 def automorphism_group(ctx: Context) -> AutGroup:
     """The automorphism group for deg f > 1.
 
-    The x-fixing pairs form a cyclic group of order k | n - 1, so they are
-    exactly the d-th roots of unity for d | k; it suffices to test, for each
-    divisor d of n - 1, the canonical primitive d-th root with its forced
-    b = (a - 1)*a_{n-1} / (n*a_n), extending the field by zeta_d as needed.
+    With a_i the h^i coefficient of f, comparing the h^(n-1) coefficients
+    of f(a*h + b) = a*f(h) + b forces b = (a - 1)*a_{n-1} / (n*a_n), that
+    is b = (1 - a)*c for c = -a_{n-1} / (n*a_n).  With F(u) = f(u + c) - c
+    the identity becomes F(a*u) = a*F(u): a^(i-1) = 1 for every i in the
+    support of F.  So the pairs are the k-th roots of unity, k the gcd of
+    |i - 1| over that support; F_n != 0, so k divides n - 1.
     """
     if not ctx.f.degree > 1:
         raise UnsupportedCase("automorphism group is computed only for deg f > 1")
     n = ctx.n
-    base = ctx.field
-    best = None
-    for d in divisors(n - 1):
-        desc = base if d <= 2 else base.join(FieldDesc(d))
-        a = _root_of_unity(desc, d)
-        lead = ctx.f.leading_coeff.embed(desc)
-        sub = ctx.f.coeff(n - 1).embed(desc)
-        b = (a - 1) * sub / (lead * n)
-        if x_fixing_pair_is_valid(ctx.f, a, b):
-            if best is None or d > best[0]:
-                best = (d, a, b, desc)
-    d, a, b, desc = best  # d = 1, the identity pair, always passes
-    return AutGroup(n=n, cyclic_order=d, generator=(a, b), field=desc)
+    lead, sub = ctx.f.leading_coeff, ctx.f.coeff(n - 1)
+    shifted = shift_polynomial(ctx.f, -sub / (lead * n))
+    k = math.gcd(*(i - 1 for i, v in enumerate(shifted.coeffs) if v))
+    desc = ctx.field if k <= 2 else ctx.field.join(FieldDesc(k))
+    a = _root_of_unity(desc, k)
+    b = (a - 1) * sub.embed(desc) / (lead.embed(desc) * n)
+    return AutGroup(n=n, cyclic_order=k, generator=(a, b), field=desc)
 
 
 def apply_x_fixing_automorphism(

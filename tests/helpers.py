@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from gha.core import AlgebraElement, Context
-from gha.field import FieldElement
+from gha.field import FieldDesc, FieldElement, divisors
 from gha.poly import Poly
 
 PHI = {  # ascending coefficients of Phi_m
@@ -94,3 +94,25 @@ def random_diagonal_element(
         k = rng.randint(0, max_k)
         terms[(k, k)] = random_poly(rng, ctx.field, max_degree, span)
     return AlgebraElement(ctx, terms)
+
+
+def x_fixing_pairs_by_divisor(f: Poly) -> dict:
+    """{d: (a, b)} for every divisor d of n - 1, n = deg f > 1: the candidate
+    pairs of a divisor search for the cyclic order of the automorphism group.
+
+    a is the canonical primitive d-th root of unity, in f's field joined with
+    Q(zeta_d) (f's own field for d <= 2), and b = (a - 1)*a_{n-1} / (n*a_n)
+    is the shift that the h^(n-1) coefficients force.  The pair is an
+    automorphism when f(a*h + b) = a*f(h) + b, which the caller tests.
+    """
+    n = f.degree
+    pairs = {}
+    for d in divisors(n - 1):
+        desc = f.field if d <= 2 else f.field.join(FieldDesc(d))
+        if d <= 2:
+            a = FieldElement.rational(1 if d == 1 else -1, desc)
+        else:
+            a = FieldElement.zeta_power(desc, desc.m // d)
+        b = (a - 1) * f.coeff(n - 1).embed(desc) / (f.leading_coeff.embed(desc) * n)
+        pairs[d] = (a, b)
+    return pairs

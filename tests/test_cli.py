@@ -1,14 +1,17 @@
 """Command line behavior: text output, JSON output, exit codes."""
 
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from gha import cli
+from gha import cli, field
 from gha.cli import build_parser, run
 from gha.core import AlgebraElement
 from gha.poly import Poly
@@ -96,6 +99,9 @@ def test_noetherian_membership_linear(capsys):
     code, out, _ = invoke(capsys, "--f", "2*h", "noetherian", "--max-n", "0")
     assert code == 0
     assert out == "n=0: gcd = h, member = true"
+    code, _, err = invoke(capsys, "--f", "2*h", "noetherian", "--max-n", "-1")
+    assert code == 2
+    assert "expected a nonnegative integer" in err
 
 
 def test_gradings_output(capsys):
@@ -215,6 +221,9 @@ def test_degree_cap_option(capsys):
     assert code == 1
     assert "exceeds the cap" in err
     assert degree_cap() == before  # the option must not leak
+    code, _, err = invoke(capsys, "--f", "h^2", "--degree-cap", "0", "nf", "h")
+    assert code == 2
+    assert "expected a positive integer" in err
 
 
 def test_zero_denominator_is_syntax_error(capsys):
@@ -428,6 +437,16 @@ GOLDEN = [
       "--dx=(-3/4*zeta^2 + 1/5)*x", "--dy=(3/4*zeta^2 - 1/5)*y", "--dh=0"],
      "lambda = -3/4*zeta^2 + 1/5",
      '{"lambda": ["1/5", "0", "-3/4", "0"]}'),
+    (["--field", "Q", "--f", "h^3+h^2", "noetherian", "--max-n", "2"],
+     "n=0: gcd = h^3 + h^2, member = false\n"
+     "n=1: gcd = h^3 + h^2, member = false\n"
+     "n=2: gcd = h^3 + h^2, member = false",
+     '{"reports": [{"n": 0, "gcd": ["0", "0", "1", "1"], "member": false}, '
+     '{"n": 1, "gcd": ["0", "0", "1", "1"], "member": false}, '
+     '{"n": 2, "gcd": ["0", "0", "1", "1"], "member": false}]}'),
+    (["--f", "h^3+h^2", "gradings"],
+     "(l, -l, 0) for every integer l",
+     '{"generator": [1, -1, 0], "all_integer_multiples": true}'),
 ]
 
 
@@ -457,6 +476,11 @@ def test_long_integer_literals(capsys):
     assert code == 0
     assert json.loads(out)["terms"] == [{"i": 1, "k": 0, "poly": [f"1/{SEVENS}"]}]
     assert invoke(capsys, "--f", "h^2", "nf", f"x^{SEVENS}") == (0, f"x^{SEVENS} * (1)", "")
+    code, out, err = invoke(capsys, "--f", "h^2", "--json", "nf", f"x^{SEVENS}*y^{SEVENS}")
+    assert (code, err) == (0, "")
+    big = field._text_int(SEVENS)
+    assert json.loads(out, parse_int=field._text_int)["terms"] == [
+        {"i": big, "k": big, "poly": ["1"]}]
 
 
 def test_superscript_digit_is_a_syntax_error(capsys):
@@ -484,3 +508,20 @@ def test_json_mode_builds_no_text(monkeypatch, capsys):
     monkeypatch.setattr(Poly, "to_text", refuse)
     assert invoke(capsys, "--f", "h^2", "--json", "nf", "y*x")[0] == 0
     assert invoke(capsys, "--f", "h^2", "--json", "center", "x*y - h")[0] == 0
+
+
+def _readme_examples():
+    """(argv, stdout) of every `$ gha ...` example in README.md."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ gha "):
+            expected = list(itertools.takewhile(lambda t: t and not t.startswith("`"), lines[i + 1:]))
+            out.append((shlex.split(line)[2:], "\n".join(expected)))
+    return out
+
+
+@pytest.mark.parametrize("argv,expected", _readme_examples(), ids=lambda v: None)
+def test_readme_examples(capsys, argv, expected):
+    assert invoke(capsys, *argv) == (0, expected, "")

@@ -21,8 +21,9 @@ from gha.morphisms import (
     x_fixing_pair_is_valid,
 )
 from gha.parser import parse_element, parse_poly
+from gha.poly import Poly
 
-from .helpers import random_element
+from .helpers import random_element, random_scalar, x_fixing_pairs_by_divisor
 
 
 def ctx_for(ftxt: str, field=None) -> Context:
@@ -250,3 +251,28 @@ def test_automorphism_commutes_with_scaling():
         one_way = apply_x_fixing_automorphism(pair, apply_phi_lambda(lam, a))
         other = apply_phi_lambda(lam, apply_x_fixing_automorphism(pair, a))
         assert one_way == other
+
+
+def test_automorphism_order_matches_the_divisor_search():
+    # f = F(h - c) + c with F's support mostly in i = 1 mod k, so that every
+    # order from 1 to 8 occurs; the reference tests every divisor of n - 1
+    rng = random.Random(1509)
+    orders = set()
+    for _ in range(120):
+        field = FieldDesc(rng.choice((1, 3, 4, 5, 12)))
+        k = rng.randint(1, 8)
+        n = 1 + k * rng.randint(1, 8 // k)
+        coeffs = [FieldElement.zero(field)] * n + [random_scalar(rng, field) or FieldElement.one(field)]
+        for i in range(n):
+            if (i % k == 1 % k and rng.random() < 0.7) or rng.random() < 0.05:
+                coeffs[i] = random_scalar(rng, field)
+        c = random_scalar(rng, field) if rng.random() < 0.8 else FieldElement.zero(field)
+        f = Poly(field, coeffs).compose(Poly(field, (-c, 1))) + c
+        group = automorphism_group(Context(f))
+        pairs = x_fixing_pairs_by_divisor(f)
+        for d, (a, b) in pairs.items():
+            assert x_fixing_pair_is_valid(f, a, b) == (group.cyclic_order % d == 0), (f, d)
+        assert group.generator == pairs[group.cyclic_order]
+        assert group.field == group.generator[0].desc
+        orders.add(group.cyclic_order)
+    assert orders == set(range(1, 9))

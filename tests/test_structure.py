@@ -7,9 +7,9 @@ import pytest
 
 from gha.core import AlgebraElement, Context, commutator, generators
 from gha.errors import UnsupportedCase
-from gha.field import FieldElement, RATIONALS
+from gha.field import FieldDesc, FieldElement, RATIONALS
 from gha.parser import parse_element, parse_poly
-from gha.poly import Poly
+from gha.poly import Poly, poly_gcd, sigma_power_h
 from gha.structure import (
     CenterKind,
     GradingFamily,
@@ -89,6 +89,22 @@ def test_witness_gcd_stabilizes_at_f():
         assert not r.is_member
 
 
+def test_witness_matches_the_gcd_of_the_generators():
+    # the reference: the monic gcd of sigma^1(h), ..., sigma^(n+1)(h), built in full
+    rng = random.Random(1509)
+    for _ in range(25):
+        field = FieldDesc(rng.choice((1, 3, 4)))
+        f = random_poly(rng, field, max_degree=4, span=3)
+        f = f - f.coeff(0)
+        max_n = rng.randint(0, 3)
+        h = Poly.gen(field)
+        g = Poly.zero(field)
+        for r in noetherian_witness(Context(f), max_n):
+            g = poly_gcd(g, sigma_power_h(f, r.n + 1))
+            assert r.generator_gcd == g
+            assert r.is_member == ((not g.is_zero) and (h % g).is_zero)
+
+
 def test_witness_requires_zero_constant_term():
     with pytest.raises(UnsupportedCase):
         noetherian_witness(ctx_for("h^2 + 1"), 2)
@@ -105,12 +121,15 @@ def test_shift_root_and_shift_polynomial():
     # and the shift is reversible
     minus = FieldElement.rational(-alpha.as_fraction())
     assert shift_polynomial(shifted, minus) == f
+    for ftxt in ("h^2 + h", "h"):  # h divides f(h) - h: the root 0 at once
+        assert find_shift_root(parse_poly(ftxt)) == FieldElement.zero(RATIONALS)
 
 
 def test_shift_root_none_when_irrational():
     assert find_shift_root(parse_poly("h^2 + 1")) is None  # h^2 - h + 1 has no real root
     root = find_shift_root(parse_poly("h^2 + h - 1"))  # f - h = h^2 - 1
     assert root is not None and root.as_fraction() in (1, -1)
+    assert find_shift_root(parse_poly("h^2 + zeta", FieldDesc(3))) is None  # not rational
 
 
 def test_center_powers_of_z():
