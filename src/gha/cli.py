@@ -208,13 +208,16 @@ def _cmd_zh_member(ctx, args):
 
 def _cmd_noetherian(ctx, args):
     reports = noetherian_witness(ctx, args.max_n)
+    # every report holds the same gcd: format it once
     if args.json:
+        gcd_json = functools.cache(_poly_json)
         return {"reports": [
-            {"n": r.n, "gcd": _poly_json(r.generator_gcd), "member": r.is_member}
+            {"n": r.n, "gcd": gcd_json(r.generator_gcd), "member": r.is_member}
             for r in reports
         ]}
+    gcd_text = functools.cache(Poly.to_text)
     return "\n".join(
-        f"n={r.n}: gcd = {r.generator_gcd.to_text()}, member = {str(r.is_member).lower()}"
+        f"n={r.n}: gcd = {gcd_text(r.generator_gcd)}, member = {str(r.is_member).lower()}"
         for r in reports
     )
 

@@ -24,26 +24,19 @@ from .field import FieldDesc, FieldElement, _int_text, power
 from .poly import Poly, check_degree_power, sigma_apply
 
 
-class _Memo:
-    """What a Context computes once; it lives and dies with its Context."""
-
-    def __init__(self, ctx: "Context"):
-        self.sigma_h: list[Poly] = [Poly.gen(ctx.field)]  # sigma^k(h) at index k
-        self.sigma: dict[tuple[Poly, int], Poly] = {}  # (g, k) -> sigma^k(g)
-        self.yx: dict[tuple[int, int], "AlgebraElement"] = {}  # (k, j) -> y^k x^j
-        self.z: list["AlgebraElement"] = [AlgebraElement.one(ctx)]  # z^k at index k
-
-
 class Context:
-    """A fixed defining polynomial f, its coefficient field and its memo."""
+    """A fixed defining polynomial f, its field, and memos that live and die with it."""
 
-    __slots__ = ("f", "field", "n", "_memo")
+    __slots__ = ("f", "field", "n", "_sigma_h", "_sigma", "_yx", "_z")
 
     def __init__(self, f: Poly):
         self.f = f
         self.field = f.field
         self.n = int(f.degree) if not f.is_zero else 0
-        self._memo = _Memo(self)
+        self._sigma_h: list[Poly] = [Poly.gen(f.field)]  # sigma^k(h) at index k
+        self._sigma: dict[tuple[Poly, int], Poly] = {}  # (g, k) -> sigma^k(g)
+        self._yx: dict[tuple[int, int], "AlgebraElement"] = {}  # (k, j) -> y^k x^j
+        self._z: list["AlgebraElement"] = [AlgebraElement.one(self)]  # z^k at index k
 
     def scalar(self, value) -> FieldElement:
         """Coerce an int, Fraction or embeddable FieldElement into the field."""
@@ -53,7 +46,7 @@ class Context:
 
     def sigma_h(self, k: int) -> Poly:
         """sigma^k(h); the degree cap is checked before any composition."""
-        tower = self._memo.sigma_h
+        tower = self._sigma_h
         if k >= len(tower) and self.f.degree > 1:
             check_degree_power(self.f.degree, k)
         while len(tower) <= k:
@@ -64,7 +57,7 @@ class Context:
         """sigma^k(g) = g(sigma^k(h))."""
         if k == 0 or g.degree <= 0:
             return g
-        memo = self._memo.sigma
+        memo = self._sigma
         out = memo.get((g, k))
         if out is None:
             # sigma^k is itself the substitution h -> sigma^k(h), applied once
@@ -73,7 +66,7 @@ class Context:
 
     def z_power(self, k: int) -> "AlgebraElement":
         """z^k for the central element z = x*y - h."""
-        powers = self._memo.z
+        powers = self._z
         while len(powers) <= k:
             powers.append(multiply(powers[-1], generators(self).z))
         return powers[k]
@@ -259,7 +252,7 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
     y^k x^j = (y^(k-1) x^j) y + (y^(k-1) x^(j-1)) (sigma^j(h) - h), filled
     in row by row from k = 1, so that a large k needs no deep recursion.
     """
-    memo = ctx._memo.yx
+    memo = ctx._yx
     cached = memo.get((k, j))
     if cached is not None:
         return cached

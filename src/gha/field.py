@@ -452,8 +452,6 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.desc.m == 1:  # over Q, one product and one gcd
-            return FieldElement._from_ints(self.desc, (self.num[0] * o.num[0],), self.den * o.den)
         return FieldElement._from_ints(self.desc, _mul(self.num, o.num, self.desc),
                                        self.den * o.den)
 
@@ -461,10 +459,6 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_m."""
-        if self.desc.m == 1:
-            if not self.num[0]:
-                raise ZeroDivisionError("inversion of zero field element")
-            return FieldElement._from_ints(self.desc, (self.den,), self.num[0])
         return FieldElement._from_ints(self.desc, *_inverse(self.num, self.den, self.desc))
 
     def __truediv__(self, other):

@@ -1,9 +1,15 @@
 """Derivations and automorphisms of H(f).
 
 A candidate derivation is given by the images of the three generators
-and extended by the Leibniz rule over the normal-form factorization
-x^i h^j y^k.  The automorphism group splits as the scaling torus
-phi_lambda times a finite cyclic part of x-fixing maps
+and extended by the one rule d(P*v) = d(P)*v + P*d(v): a term x^i g(h) y^k
+is folded as a product of i factors x, g(h) and k factors y, and d(g(h))
+by Horner's rule in h.  For deg f > 1 the locally finite derivations are
+the scalings c*d0, d0 = (x -> x, y -> -y, h -> 0); a candidate is one of
+them exactly when it equals c*d0 for c the constant coefficient at x of
+d(x).
+
+The automorphism group splits as the scaling torus phi_lambda times a
+finite cyclic part of x-fixing maps
 
     x -> x,  y -> a*y,  h -> a*h + b,
 
@@ -18,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AlgebraElement, Context, generators, homogeneous_parts, multiply
+from .core import AlgebraElement, Context, generators, homogeneous_parts
 from .errors import FieldMismatch, UnsupportedCase
 from .field import FieldDesc, FieldElement
 from .poly import Poly
@@ -47,43 +53,34 @@ class DerivationSpec:
         return DerivationSpec(ctx, gens.x * c, gens.y * (-c), AlgebraElement.zero(ctx))
 
 
-def _derive_power(base: AlgebraElement, image: AlgebraElement, p: int) -> AlgebraElement:
-    """Leibniz on base^p: sum_r base^r image base^(p-1-r)."""
-    ctx = base.ctx
-    total = AlgebraElement.zero(ctx)
-    powers = [AlgebraElement.one(ctx)]
-    for _ in range(p):
-        powers.append(multiply(powers[-1], base))
-    for r in range(p):
-        total = total + multiply(multiply(powers[r], image), powers[p - 1 - r])
-    return total
+def _leibniz(*factors: tuple[AlgebraElement, AlgebraElement]) -> AlgebraElement:
+    """d(v_1 ... v_r) from the pairs (v_i, d(v_i)), by d(P*v) = d(P)*v + P*d(v)."""
+    (value, image), *rest = factors
+    for v, dv in rest:
+        value, image = value * v, image * v + value * dv
+    return image
 
 
 def _derive_poly(d: DerivationSpec, g: Poly) -> AlgebraElement:
-    """Leibniz on g(h): sum_j c_j sum_s h^s im_h h^(j-1-s)."""
-    ctx = d.ctx
-    h = generators(ctx).h
-    total = AlgebraElement.zero(ctx)
-    for j, c in enumerate(g.coeffs):
-        if j and not c.is_zero:
-            total = total + _derive_power(h, d.im_h, j) * c
-    return total
+    """d(g(h)) by Horner's rule: d(p*h + c) = d(p)*h + p*d(h)."""
+    h = generators(d.ctx).h
+    value = image = AlgebraElement.zero(d.ctx)
+    for c in reversed(g.coeffs):
+        value, image = value * h + c, image * h + value * d.im_h
+    return image
 
 
 def apply_derivation(d: DerivationSpec, a: AlgebraElement) -> AlgebraElement:
-    """The Leibniz extension of d, applied term by term."""
+    """The Leibniz extension of d, applied to each term x^i g(h) y^k as a product."""
     ctx = d.ctx
     if a.ctx != ctx:
         raise FieldMismatch("element lives over a different context")
     gens = generators(ctx)
     out = AlgebraElement.zero(ctx)
     for (i, k), g in a.terms.items():
-        head = gens.x ** i
         mid = AlgebraElement.from_poly(ctx, g)
-        tail = gens.y ** k
-        out = out + _derive_power(gens.x, d.im_x, i) * mid * tail
-        out = out + head * _derive_poly(d, g) * tail
-        out = out + head * mid * _derive_power(gens.y, d.im_y, k)
+        out = out + _leibniz(*[(gens.x, d.im_x)] * i, (mid, _derive_poly(d, g)),
+                             *[(gens.y, d.im_y)] * k)
     return out
 
 
@@ -117,35 +114,19 @@ def derivation_homogeneous_parts(d: DerivationSpec) -> dict[int, DerivationSpec]
     }
 
 
-def _scalar_multiple_of(a: AlgebraElement, key: tuple[int, int]) -> FieldElement | None:
-    """c with a = c * (the basis monomial at key), or None."""
-    if a.is_zero:
-        return FieldElement.zero(a.ctx.field)
-    if set(a.terms) != {key}:
-        return None
-    g = a.terms[key]
-    if g.degree > 0:
-        return None
-    return g.coeff(0)
-
-
 def classify_locally_finite(d: DerivationSpec) -> FieldElement | None:
-    """Match against the locally finite normal form x -> c x, y -> -c y, h -> 0.
+    """The scalar c with d = c * (x -> x, y -> -y, h -> 0), or None.
 
-    For deg f > 1 these scalings are exactly the locally finite derivations;
-    returns the scalar c, or None when d is not of that shape.
+    For deg f > 1 these scalings are exactly the locally finite derivations.
+    The only candidate for c is the constant coefficient of d(x) at x.
     """
     if not d.ctx.f.degree > 1:
         raise UnsupportedCase("classification of derivations requires deg f > 1")
     if not check_derivation(d):
         raise UnsupportedCase("the given images do not define a derivation")
-    if not d.im_h.is_zero:
-        return None
-    lam = _scalar_multiple_of(d.im_x, (1, 0))
-    mu = _scalar_multiple_of(d.im_y, (0, 1))
-    if lam is None or mu is None or mu != -lam:
-        return None
-    return lam
+    at_x = d.im_x.terms.get((1, 0))
+    lam = at_x.coeff(0) if at_x is not None else FieldElement.zero(d.ctx.field)
+    return lam if d == DerivationSpec.diagonal(d.ctx, lam) else None
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Seeded random builders and reference arithmetic shared by the test modules.
 
 Everything random takes an explicit random.Random so failures reproduce
-from the seed alone.  The references share no code with the package.
+from the seed alone.  The scalar references share no code with the package;
+the derivation references build on its product and differ only in how they
+expand the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gha.core import AlgebraElement, Context
+from gha.core import AlgebraElement, Context, generators, multiply
+from gha.errors import UnsupportedCase
 from gha.field import FieldDesc, FieldElement, divisors
 from gha.poly import Poly
 
@@ -116,3 +119,83 @@ def x_fixing_pairs_by_divisor(f: Poly) -> dict:
         b = (a - 1) * f.coeff(n - 1).embed(desc) / (f.leading_coeff.embed(desc) * n)
         pairs[d] = (a, b)
     return pairs
+
+
+# --- derivations, expanded term by term ----------------------------------
+
+
+def ref_derive_power(base: AlgebraElement, image: AlgebraElement, p: int) -> AlgebraElement:
+    """Leibniz on base^p: sum_r base^r image base^(p-1-r)."""
+    ctx = base.ctx
+    total = AlgebraElement.zero(ctx)
+    powers = [AlgebraElement.one(ctx)]
+    for _ in range(p):
+        powers.append(multiply(powers[-1], base))
+    for r in range(p):
+        total = total + multiply(multiply(powers[r], image), powers[p - 1 - r])
+    return total
+
+
+def ref_derive_poly(d, g: Poly) -> AlgebraElement:
+    """Leibniz on g(h): sum_j c_j sum_s h^s im_h h^(j-1-s)."""
+    ctx = d.ctx
+    h = generators(ctx).h
+    total = AlgebraElement.zero(ctx)
+    for j, c in enumerate(g.coeffs):
+        if j and not c.is_zero:
+            total = total + ref_derive_power(h, d.im_h, j) * c
+    return total
+
+
+def ref_apply_derivation(d, a: AlgebraElement) -> AlgebraElement:
+    """d(x^i g y^k) = d(x^i) g y^k + x^i d(g) y^k + x^i g d(y^k), term by term."""
+    ctx = d.ctx
+    gens = generators(ctx)
+    out = AlgebraElement.zero(ctx)
+    for (i, k), g in a.terms.items():
+        head = gens.x ** i
+        mid = AlgebraElement.from_poly(ctx, g)
+        tail = gens.y ** k
+        out = out + ref_derive_power(gens.x, d.im_x, i) * mid * tail
+        out = out + head * ref_derive_poly(d, g) * tail
+        out = out + head * mid * ref_derive_power(gens.y, d.im_y, k)
+    return out
+
+
+def ref_check_derivation(d) -> bool:
+    """The three defining relations, each side expanded by the Leibniz rule."""
+    gens = generators(d.ctx)
+    f_elem = AlgebraElement.from_poly(d.ctx, d.ctx.f)
+    df = ref_derive_poly(d, d.ctx.f)
+    dx, dy, dh = d.im_x, d.im_y, d.im_h
+    rel1 = dh * gens.x + gens.h * dx == dx * f_elem + gens.x * df
+    rel2 = dy * gens.h + gens.y * dh == df * gens.y + f_elem * dy
+    rel3 = dy * gens.x + gens.y * dx - dx * gens.y - gens.x * dy == df - dh
+    return rel1 and rel2 and rel3
+
+
+def _ref_scalar_multiple_of(a: AlgebraElement, key: tuple[int, int]):
+    """c with a = c * (the basis monomial at key), or None."""
+    if a.is_zero:
+        return FieldElement.zero(a.ctx.field)
+    if set(a.terms) != {key}:
+        return None
+    g = a.terms[key]
+    if g.degree > 0:
+        return None
+    return g.coeff(0)
+
+
+def ref_classify_locally_finite(d):
+    """Match the shape x -> c x, y -> -c y, h -> 0 image by image; c or None."""
+    if not d.ctx.f.degree > 1:
+        raise UnsupportedCase("classification of derivations requires deg f > 1")
+    if not ref_check_derivation(d):
+        raise UnsupportedCase("the given images do not define a derivation")
+    if not d.im_h.is_zero:
+        return None
+    lam = _ref_scalar_multiple_of(d.im_x, (1, 0))
+    mu = _ref_scalar_multiple_of(d.im_y, (0, 1))
+    if lam is None or mu is None or mu != -lam:
+        return None
+    return lam

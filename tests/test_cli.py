@@ -510,6 +510,37 @@ def test_json_mode_builds_no_text(monkeypatch, capsys):
     assert invoke(capsys, "--f", "h^2", "--json", "center", "x*y - h")[0] == 0
 
 
+def test_noetherian_formats_the_gcd_once(monkeypatch, capsys):
+    calls = []
+    to_text = Poly.to_text
+
+    def counting(p, *args):
+        calls.append(p)
+        return to_text(p, *args)
+
+    monkeypatch.setattr(Poly, "to_text", counting)
+    code, out, _ = invoke(capsys, "--f", "h^3+h^2", "noetherian", "--max-n", "50")
+    assert code == 0 and len(out.splitlines()) == 51
+    assert len(calls) == 1
+
+
+def test_large_cyclotomic_product_convolves_short_rows(monkeypatch, capsys):
+    # a product of rows with low zeta powers is spread to the stride those
+    # powers need, never to phi(100000) = 40000; a clock-free guard of the
+    # timed test_field_degree_under_the_cap_succeeds
+    longest = []
+    convolve = field._convolve
+
+    def recording(a, b):
+        longest.append(max(len(a), len(b)))
+        return convolve(a, b)
+
+    monkeypatch.setattr(field, "_convolve", recording)
+    code, out, _ = invoke(capsys, "--field", "Q(zeta_100000)", "--f", "h^2", "nf", "y*x")
+    assert code == 0 and out == "(h^2 - h) + x^1 * (1) * y^1"
+    assert longest and max(longest) < 40000
+
+
 def _readme_examples():
     """(argv, stdout) of every `$ gha ...` example in README.md."""
     readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -23,7 +23,15 @@ from gha.morphisms import (
 from gha.parser import parse_element, parse_poly
 from gha.poly import Poly
 
-from .helpers import random_element, random_scalar, x_fixing_pairs_by_divisor
+from .helpers import (
+    random_element,
+    random_poly,
+    random_scalar,
+    ref_apply_derivation,
+    ref_check_derivation,
+    ref_classify_locally_finite,
+    x_fixing_pairs_by_divisor,
+)
 
 
 def ctx_for(ftxt: str, field=None) -> Context:
@@ -276,3 +284,61 @@ def test_automorphism_order_matches_the_divisor_search():
         assert group.field == group.generator[0].desc
         orders.add(group.cyclic_order)
     assert orders == set(range(1, 9))
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except UnsupportedCase as exc:
+        return type(exc), str(exc)
+
+
+def _derivation_specs(rng, ctx):
+    """Derivations and near-derivations around the locally finite family."""
+    x, y, h, z = generators(ctx)
+    zero = AlgebraElement.zero(ctx)
+    lam = random_scalar(rng, ctx.field)
+
+    def inner(a):
+        return DerivationSpec(ctx, *(a * g - g * a for g in (x, y, h)))
+
+    def plus(d, e):
+        return DerivationSpec(ctx, d.im_x + e.im_x, d.im_y + e.im_y, d.im_h + e.im_h)
+
+    def nonzero(max_terms):
+        e = AlgebraElement.zero(ctx)
+        while e.is_zero:
+            e = random_element(rng, ctx, max_ik=1, max_terms=max_terms, max_degree=1)
+        return e
+
+    diag = DerivationSpec.diagonal(ctx, lam)
+    g = h * AlgebraElement.from_poly(ctx, random_poly(rng, ctx.field, 2))
+    extra = nonzero(1)
+    central = z * random_scalar(rng, ctx.field) + random_scalar(rng, ctx.field)
+    yield diag
+    yield inner(nonzero(2))
+    yield plus(diag, inner(nonzero(2)))
+    yield plus(diag, inner(central))  # ad(z) = 0
+    yield plus(diag, inner(g))  # d(x) = lam*x + x*(sigma(g) - g)
+    yield DerivationSpec(ctx, diag.im_x + extra, diag.im_y, zero)
+    yield DerivationSpec(ctx, g * x, diag.im_y, zero)
+    yield DerivationSpec(ctx, diag.im_x, diag.im_y * 2 + extra, zero)
+    yield DerivationSpec(ctx, diag.im_x, diag.im_y, h * lam)
+    yield DerivationSpec(ctx, nonzero(2), nonzero(2), nonzero(2))
+
+
+def test_leibniz_fold_agrees_with_the_expanded_rule():
+    # the reference expands d(x^i), d(g(h)) and d(y^k) as sums of products
+    rng = random.Random(1509_02682)
+    for field in (RATIONALS, FieldDesc(3), FieldDesc(4)):
+        for n in (2, 3, 4):
+            lead = random_scalar(rng, field) or FieldElement.one(field)
+            f = Poly(field, [random_scalar(rng, field, 2) for _ in range(n)] + [lead])
+            ctx = Context(f)
+            for d in _derivation_specs(rng, ctx):
+                a = random_element(rng, ctx, max_ik=2, max_terms=2, max_degree=2)
+                assert apply_derivation(d, a) == ref_apply_derivation(d, a), (f, d, a)
+                assert check_derivation(d) == ref_check_derivation(d), (f, d)
+                got = _outcome(classify_locally_finite, d)
+                assert got == _outcome(ref_classify_locally_finite, d), (f, d)
