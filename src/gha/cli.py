@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from itertools import compress
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import AlgebraElement, Context, commutator, sigma_h0
 from .errors import GhaError, ParseError
@@ -121,7 +121,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _scalar_json(c: FieldElement):
     """A string over Q, else one string per coordinate, "0" for a zero one."""
-    if c.desc.is_rational:
+    if c.field.is_rational:
         return _ratio_text(c.num[0], c.den)
     out = ["0"] * len(c.num)
     for j in compress(range(len(c.num)), c.num):
@@ -133,15 +133,20 @@ def _poly_json(p: Poly) -> list:
     return [_scalar_json(c) for c in p.coeffs]
 
 
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+
 def _json_text(value) -> str:
-    """json.dumps(value), also for ints of more digits than int.__repr__ writes."""
+    """json.dumps(value) of a report, also for ints of more digits than int.__repr__ writes."""
+    if isinstance(value, str):
+        return _json_str(value)
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
+        return "{" + ", ".join(f"{_json_str(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
     if isinstance(value, list):
         return "[" + ", ".join(map(_json_text, value)) + "]"
-    if isinstance(value, int) and not isinstance(value, bool):
-        return _int_text(value)
-    return json.dumps(value)
+    if value is None or isinstance(value, bool):
+        return _JSON_WORDS[value]
+    return _int_text(value)
 
 
 # --- subcommands -------------------------------------------------------------

@@ -17,6 +17,7 @@ together with sigma^k(h), sigma^k(g) and z^k.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import FieldMismatch, UnsupportedCase
@@ -41,7 +42,7 @@ class Context:
     def scalar(self, value) -> FieldElement:
         """Coerce an int, Fraction or embeddable FieldElement into the field."""
         if isinstance(value, FieldElement):
-            return value.embed(self.field) if value.desc != self.field else value
+            return value.embed(self.field) if value.field != self.field else value
         return FieldElement.rational(value, self.field)
 
     def sigma_h(self, k: int) -> Poly:
@@ -251,12 +252,12 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
 
     y^k x^j = (y^(k-1) x^j) y + (y^(k-1) x^(j-1)) (sigma^j(h) - h), filled
     in row by row from k = 1, so that a large k needs no deep recursion.
+    multiply has checked the degree cap for (k, j) before the call.
     """
     memo = ctx._yx
     cached = memo.get((k, j))
     if cached is not None:
         return cached
-    check_degree_power(ctx.n, k + j - 1)  # n > 1: exact degree of the x^(j-1) y^(k-1) term
     one = Poly.one(ctx.field)
     y = AlgebraElement(ctx, {(0, 1): one})
 
@@ -275,11 +276,17 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Product in H(f), term by term.
 
     (x^i g y^k)(x^j gh y^l) is immediate when k = 0 or j = 0; otherwise
-    the memoized normal form of y^k x^j is spliced in the middle.
+    the memoized normal form of y^k x^j is spliced in the middle.  Its
+    x^(j-1) y^(k-1) term has degree n^(k+j-1) exactly (n > 1), so the cap is
+    checked once, for the largest k and j, before any pair is built.
     """
     if a.ctx != b.ctx:
         raise FieldMismatch("elements live over different contexts")
     ctx = a.ctx
+    top_k = max(map(itemgetter(1), a.terms), default=0)
+    top_j = max(map(itemgetter(0), b.terms), default=0)
+    if top_k and top_j:
+        check_degree_power(ctx.n, top_k + top_j - 1)
     sigma = ctx.sigma
     out: dict[tuple[int, int], Poly] = {}
     for (i, k), g in a.terms.items():

@@ -8,8 +8,10 @@ polynomial.  m = 1 is identified with Q itself (phi = 1).
 The kernel holds rationals as the pair (num, den): Python ints over one
 positive common denominator, in lowest terms, so equal values are equal
 pairs.  A scalar is one row of phi(m) coordinates; a polynomial is a flat
-tuple of such rows, one per coefficient.  Printers read these rows and
-write ints through decimal, which has no limit on the number of digits.
+tuple of such rows, one per coefficient.  One class, _Pair, builds both
+from kernel results and gives both +, -, *, == and hash; FieldElement and
+poly.Poly add only what a scalar or a polynomial has of its own.  Printers
+read the rows and write ints through decimal, which has no digit limit.
 
 The degree cap lives here too: it bounds the field degree phi(m), checked
 when FieldDesc.degree is first computed, and the polynomial degrees that
@@ -337,15 +339,88 @@ class FieldDesc:
 RATIONALS = FieldDesc(1)
 
 
-class FieldElement:
+class _Pair:
+    """A value stored as the kernel pair (num, den) over `field`, with its ring operators.
+
+    A subclass gives `_canonical(num, phi)`, the canonical form of its rows,
+    and `_lift(value)`, a plain operand as a value of its class (else None).
+    """
+
+    __slots__ = ("field", "num", "den")
+
+    def _set(self, field: FieldDesc, num: list[int], den: int) -> None:
+        num, den = _lowest(self._canonical(num, field.degree), den)
+        self.field = field
+        self.num = tuple(num)
+        self.den = den
+
+    @classmethod
+    def _from_ints(cls, field: FieldDesc, num, den: int):
+        """The value num / den from kernel rows, brought to canonical form."""
+        v = cls.__new__(cls)
+        v._set(field, num, den)
+        return v
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            if other.field != self.field:
+                raise FieldMismatch(f"cannot combine {self.field} with {other.field}")
+            return other
+        return self._lift(other)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._from_ints(self.field, *_add(self.num, self.den, o.num, o.den))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._from_ints(self.field, [-v for v in self.num], self.den)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._from_ints(self.field, *_add(self.num, self.den, [-v for v in o.num], o.den))
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._from_ints(self.field, _mul(self.num, o.num, self.field), self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.field == other.field and self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return hash((self.field, self.num, self.den))
+
+
+class FieldElement(_Pair):
     """An exact scalar reduced mod Phi_m; immutable and hashable.
 
     Built from phi(m) exact coordinates (anything Fraction() takes) and
-    stored as the kernel pair of one row: the integer coordinates `num`
-    over the positive denominator `den`, in lowest terms.
+    stored as the kernel pair of one row.  It equals, and hashes as, the
+    int or Fraction of the same value.
     """
 
-    __slots__ = ("desc", "num", "den")
+    __slots__ = ()
 
     def __init__(self, desc: FieldDesc, coords):
         if len(coords) != desc.degree:
@@ -353,21 +428,17 @@ class FieldElement:
                 f"expected {desc.degree} coordinates for {desc}, "
                 f"got {len(coords)}"
             )
-        ratios = [_ratio(c) for c in coords]
-        den = math.lcm(*[d for _, d in ratios])  # lowest terms, as each ratio is
-        self.desc = desc
-        self.num = tuple([n * (den // d) for n, d in ratios])
-        self.den = den
+        num, den = _join([((n,), d) for n, d in map(_ratio, coords)])
+        self.field, self.num, self.den = desc, tuple(num), den  # lowest terms, as each ratio is
 
-    @classmethod
-    def _from_ints(cls, desc: FieldDesc, num, den: int) -> "FieldElement":
-        """The scalar num / den from one kernel row, brought to lowest terms."""
-        num, den = _lowest(num, den)
-        e = cls.__new__(cls)
-        e.desc = desc
-        e.num = tuple(num)
-        e.den = den
-        return e
+    _canonical = staticmethod(lambda num, phi: num)  # one row: nothing to trim
+
+    def _lift(self, value):
+        if isinstance(value, (int, Fraction)):
+            return FieldElement.rational(value, self.field)
+        return None
+
+    desc = property(lambda self: self.field, doc="The field, under its older name.")
 
     # --- construction -------------------------------------------------
     @staticmethod
@@ -402,13 +473,6 @@ class FieldElement:
         return tuple(Fraction(v, self.den) for v in self.num)
 
     @property
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    @property
     def is_rational_value(self) -> bool:
         return not any(self.num[1:])
 
@@ -419,47 +483,9 @@ class FieldElement:
         return Fraction(self.num[0], self.den)
 
     # --- arithmetic ----------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.desc != self.desc:
-                raise FieldMismatch(f"cannot combine {self.desc} with {other.desc}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FieldElement.rational(other, self.desc)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement._from_ints(self.desc, *_add(self.num, self.den, o.num, o.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement._from_ints(self.desc, [-v for v in self.num], self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + -o
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement._from_ints(self.desc, _mul(self.num, o.num, self.desc),
-                                       self.den * o.den)
-
-    __rmul__ = __mul__
-
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_m."""
-        return FieldElement._from_ints(self.desc, *_inverse(self.num, self.den, self.desc))
+        return FieldElement._from_ints(self.field, *_inverse(self.num, self.den, self.field))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -478,26 +504,26 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        return power(self, e, FieldElement.one(self.desc))
+        return power(self, e, FieldElement.one(self.field))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = FieldElement.rational(other, self.desc)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.desc == other.desc and self.den == other.den and self.num == other.num
+            other = FieldElement.rational(other, self.field)
+        return _Pair.__eq__(self, other)
 
     def __hash__(self):
-        return hash((self.desc, self.num, self.den))
+        if self.is_rational_value:
+            return hash(Fraction(self.num[0], self.den))
+        return _Pair.__hash__(self)
 
     # --- embeddings ----------------------------------------------------
     def embed(self, target: FieldDesc) -> "FieldElement":
         """Image under zeta_m -> zeta_M^(M/m); requires m | M."""
-        if target == self.desc:
+        if target == self.field:
             return self
-        if not self.desc.embeds_into(target):
-            raise NoEmbedding(f"{self.desc} does not embed into {target}")
-        row = _restride(self.num, 1, target.m // self.desc.m, len(self.num))
+        if not self.field.embeds_into(target):
+            raise NoEmbedding(f"{self.field} does not embed into {target}")
+        row = _restride(self.num, 1, target.m // self.field.m, len(self.num))
         return FieldElement._from_ints(target, _reduce(row, target, len(row)), self.den)
 
     # --- display --------------------------------------------------------

@@ -155,8 +155,8 @@ def derivation_power_bounded(d: DerivationSpec, a: AlgebraElement, max_iter: int
 
 def x_fixing_pair_is_valid(f: Poly, a: FieldElement, b: FieldElement) -> bool:
     """Exact test of f(a*h + b) = a*f(h) + b over the pair's field."""
-    fe = f.embed(a.desc)
-    return fe.compose(Poly(a.desc, (b, a))) == fe * a + b
+    fe = f.embed(a.field)
+    return fe.compose(Poly(a.field, (b, a))) == fe * a + b
 
 
 @dataclass(frozen=True)
@@ -215,9 +215,9 @@ def apply_x_fixing_automorphism(
     scalars and the pair; the pair is verified against f first.
     """
     a, b = pair
-    if a.desc != b.desc:
+    if a.field != b.field:
         raise FieldMismatch("pair entries live in different fields")
-    target = e.ctx.field.join(a.desc)
+    target = e.ctx.field.join(a.field)
     a, b = a.embed(target), b.embed(target)
     ctx = e.ctx.embed(target)
     if not x_fixing_pair_is_valid(ctx.f, a, b):

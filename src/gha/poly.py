@@ -1,4 +1,5 @@
-"""Dense exact polynomials in one variable over Q or Q(zeta_m).
+"""Dense exact polynomials in one variable over Q or Q(zeta_m): kernel pairs
+(field._Pair) of one row per coefficient, with the scalars' ring operators.
 
 This module also carries the composition machinery used everywhere
 above it: the endomorphism sigma acts on coefficient polynomials by
@@ -12,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
-from .field import (FieldDesc, FieldElement, _add, _divmod, _int_text, _inverse, _join, _lowest,
-                    _mul, _row_terms, _trim, degree_cap, monomial, power, signed_sum)
+from .field import (FieldDesc, FieldElement, _divmod, _int_text, _inverse, _join, _mul, _Pair,
+                    _row_terms, _trim, degree_cap, monomial, power, signed_sum)
 from .field import set_degree_cap  # noqa: F401  (re-exported: gha.poly.set_degree_cap)
 
 NEG_INF = float("-inf")
@@ -34,36 +35,29 @@ def check_degree_power(n: int, e: int) -> None:
     check_degree(n ** e)
 
 
-class Poly:
+class Poly(_Pair):
     """Immutable dense polynomial over Q or Q(zeta_m).
 
-    Stored as the field's kernel pair: a flat tuple `num` of integer rows of
-    phi(m) power-basis coordinates per coefficient, ascending, with no
-    trailing zero row, over one positive denominator `den`, in lowest terms.
+    A kernel pair (see field._Pair): one integer row of phi(m) power-basis
+    coordinates per coefficient, ascending, with no trailing zero row.
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ()
 
     def __init__(self, field: FieldDesc, coeffs=()):
         rows = [c if isinstance(c, FieldElement) else FieldElement.rational(c, field)
                 for c in coeffs]
         for c in rows:
-            if c.desc != field:
-                raise FieldMismatch(f"coefficient in {c.desc}, expected {field}")
+            if c.field != field:
+                raise FieldMismatch(f"coefficient in {c.field}, expected {field}")
         self._set(field, *_join([(c.num, c.den) for c in rows]))
 
-    def _set(self, field: FieldDesc, num: list[int], den: int) -> None:
-        num, den = _lowest(_trim(num, field.degree), den)
-        self.field = field
-        self.num = tuple(num)
-        self.den = den
+    _canonical = staticmethod(_trim)
 
-    @classmethod
-    def _from_ints(cls, field: FieldDesc, num: list[int], den: int) -> "Poly":
-        """A polynomial from kernel rows num / den, brought to canonical form."""
-        p = cls.__new__(cls)
-        p._set(field, num, den)
-        return p
+    def _lift(self, value):
+        if isinstance(value, (int, Fraction, FieldElement)):
+            return Poly(self.field, (value,))
+        return None
 
     # --- construction --------------------------------------------------
     @classmethod
@@ -96,7 +90,7 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.num  # rows are trimmed
 
     @property
     def leading_coeff(self) -> FieldElement:
@@ -108,47 +102,7 @@ class Poly:
             return FieldElement._from_ints(self.field, self.num[j * phi:(j + 1) * phi], self.den)
         return FieldElement.zero(self.field)
 
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.field == other.field and self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.field, self.num, self.den))
-
     # --- ring operations --------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            if other.field != self.field:
-                raise FieldMismatch(f"cannot combine {self.field} with {other.field}")
-            return other
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return Poly(self.field, (other,))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Poly._from_ints(self.field, *_add(self.num, self.den, o.num, o.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._from_ints(self.field, [-v for v in self.num], self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Poly._from_ints(self.field, *_add(self.num, self.den, [-v for v in o.num], o.den))
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:

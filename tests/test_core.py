@@ -343,3 +343,24 @@ def test_linear_f_high_powers_need_no_recursion():
     gap = Poly(ctx.field, (0, 2 ** 1500 - 1))  # sigma^1500(h) - h
     assert commutator(y, x ** 1500) == AlgebraElement(ctx, {(1499, 0): gap})
     assert commutator(y ** 1500, x) == AlgebraElement(ctx, {(0, 1499): gap})
+
+
+def test_degree_cap_is_checked_before_any_product(monkeypatch):
+    # over h^2, y^k x^j has a coefficient of degree 2^(k+j-1): y^17 x passes the cap
+    import gha.core
+
+    calls = []
+    normal_form = gha.core._y_pow_x_pow
+
+    def recorded(ctx, k, j):
+        calls.append((k, j))
+        return normal_form(ctx, k, j)
+
+    monkeypatch.setattr(gha.core, "_y_pow_x_pow", recorded)
+    ctx = ctx_for("h^2")
+    a, b = parse_element("y + y^17", ctx), parse_element("x", ctx)
+    with pytest.raises(DegreeCapExceeded, match=r"^result degree 131072 exceeds the cap 100000$"):
+        multiply(a, b)
+    assert calls == []
+    multiply(parse_element("y + y^16", ctx), b)  # at the cap: both pairs are built
+    assert sorted(calls) == [(1, 1), (16, 1)]

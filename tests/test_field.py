@@ -1,6 +1,7 @@
 """Cyclotomic field arithmetic over exact rationals."""
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -262,3 +263,128 @@ def test_desc_str_and_m_validation():
     assert str(Q6) == "Q(zeta_6)"
     with pytest.raises(ValueError):
         FieldDesc(0)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_scalar_hash_agrees_with_equality(m):
+    desc = FieldDesc(m)
+    z = FieldElement.zeta(desc)
+    for v in (FieldElement.rational(2, desc), FieldElement.rational(Fraction(-7, 3), desc),
+              FieldElement.zero(desc), z * z.inverse() * Fraction(5, 4)):
+        assert hash(v) == hash(v.as_fraction())
+        assert v.as_fraction() in {v}
+        assert v in {v.as_fraction()}
+    if m > 1:  # not rational-valued, so equal to no int or Fraction
+        assert z not in {FieldElement.rational(1, desc), 1} and z in {FieldElement.zeta(desc)}
+
+
+# Outcomes of +, -, * and == at the parent of the shared pair class, for the
+# operands of _operands; an error outcome is "Type: message".
+_OUTCOMES = {
+    (1, "int", "fe"): ("FieldElement: 4", "FieldElement: 0", "FieldElement: 4", True),
+    (1, "int", "poly"): ("Poly: h + 4", "Poly: -h", "Poly: 2*h + 4", False),
+    (1, "frac", "fe"): ("FieldElement: 5/2", "FieldElement: -3/2", "FieldElement: 1", False),
+    (1, "frac", "poly"): ("Poly: h + 5/2", "Poly: -h - 3/2", "Poly: 1/2*h + 1", False),
+    (1, "fe", "int"): ("FieldElement: 4", "FieldElement: 0", "FieldElement: 4", True),
+    (1, "fe", "frac"): ("FieldElement: 5/2", "FieldElement: 3/2", "FieldElement: 1", False),
+    (1, "fe", "fe"): ("FieldElement: 4", "FieldElement: 0", "FieldElement: 4", True),
+    (1, "fe", "poly"): ("Poly: h + 4", "Poly: -h", "Poly: 2*h + 4", False),
+    (1, "poly", "int"): ("Poly: h + 4", "Poly: h", "Poly: 2*h + 4", False),
+    (1, "poly", "frac"): ("Poly: h + 5/2", "Poly: h + 3/2", "Poly: 1/2*h + 1", False),
+    (1, "poly", "fe"): ("Poly: h + 4", "Poly: h", "Poly: 2*h + 4", False),
+    (1, "poly", "poly"): ("Poly: 2*h + 4", "Poly: 0", "Poly: h^2 + 4*h + 4", True),
+    (3, "int", "fe"): ("FieldElement: zeta + 3", "FieldElement: -zeta + 1",
+                       "FieldElement: 2*zeta + 2", False),
+    (3, "int", "poly"): ("Poly: h + zeta + 3", "Poly: -h + -zeta + 1",
+                         "Poly: 2*h + 2*zeta + 2", False),
+    (3, "frac", "fe"): ("FieldElement: zeta + 3/2", "FieldElement: -zeta - 1/2",
+                        "FieldElement: 1/2*zeta + 1/2", False),
+    (3, "frac", "poly"): ("Poly: h + zeta + 3/2", "Poly: -h + -zeta - 1/2",
+                          "Poly: 1/2*h + 1/2*zeta + 1/2", False),
+    (3, "fe", "int"): ("FieldElement: zeta + 3", "FieldElement: zeta - 1",
+                       "FieldElement: 2*zeta + 2", False),
+    (3, "fe", "frac"): ("FieldElement: zeta + 3/2", "FieldElement: zeta + 1/2",
+                        "FieldElement: 1/2*zeta + 1/2", False),
+    (3, "fe", "fe"): ("FieldElement: 2*zeta + 2", "FieldElement: 0", "FieldElement: zeta", True),
+    (3, "fe", "poly"): ("Poly: h + 2*zeta + 2", "Poly: -h", "Poly: (zeta + 1)*h + zeta", False),
+    (3, "poly", "int"): ("Poly: h + zeta + 3", "Poly: h + zeta - 1",
+                         "Poly: 2*h + 2*zeta + 2", False),
+    (3, "poly", "frac"): ("Poly: h + zeta + 3/2", "Poly: h + zeta + 1/2",
+                          "Poly: 1/2*h + 1/2*zeta + 1/2", False),
+    (3, "poly", "fe"): ("Poly: h + 2*zeta + 2", "Poly: h", "Poly: (zeta + 1)*h + zeta", False),
+    (3, "poly", "poly"): ("Poly: 2*h + 2*zeta + 2", "Poly: 0",
+                          "Poly: h^2 + (2*zeta + 2)*h + zeta", True),
+    (4, "int", "fe"): ("FieldElement: zeta + 3", "FieldElement: -zeta + 1",
+                       "FieldElement: 2*zeta + 2", False),
+    (4, "int", "poly"): ("Poly: h + zeta + 3", "Poly: -h + -zeta + 1",
+                         "Poly: 2*h + 2*zeta + 2", False),
+    (4, "frac", "fe"): ("FieldElement: zeta + 3/2", "FieldElement: -zeta - 1/2",
+                        "FieldElement: 1/2*zeta + 1/2", False),
+    (4, "frac", "poly"): ("Poly: h + zeta + 3/2", "Poly: -h + -zeta - 1/2",
+                          "Poly: 1/2*h + 1/2*zeta + 1/2", False),
+    (4, "fe", "int"): ("FieldElement: zeta + 3", "FieldElement: zeta - 1",
+                       "FieldElement: 2*zeta + 2", False),
+    (4, "fe", "frac"): ("FieldElement: zeta + 3/2", "FieldElement: zeta + 1/2",
+                        "FieldElement: 1/2*zeta + 1/2", False),
+    (4, "fe", "fe"): ("FieldElement: 2*zeta + 2", "FieldElement: 0", "FieldElement: 2*zeta", True),
+    (4, "fe", "poly"): ("Poly: h + 2*zeta + 2", "Poly: -h", "Poly: (zeta + 1)*h + 2*zeta", False),
+    (4, "poly", "int"): ("Poly: h + zeta + 3", "Poly: h + zeta - 1",
+                         "Poly: 2*h + 2*zeta + 2", False),
+    (4, "poly", "frac"): ("Poly: h + zeta + 3/2", "Poly: h + zeta + 1/2",
+                          "Poly: 1/2*h + 1/2*zeta + 1/2", False),
+    (4, "poly", "fe"): ("Poly: h + 2*zeta + 2", "Poly: h", "Poly: (zeta + 1)*h + 2*zeta", False),
+    (4, "poly", "poly"): ("Poly: 2*h + 2*zeta + 2", "Poly: 0",
+                          "Poly: h^2 + (2*zeta + 2)*h + 2*zeta", True),
+}
+# Pairs with a value over Q(zeta_5) ("fe'", "poly'"): +, - and * raise FieldMismatch
+# with this message ({F} the field, {O} Q(zeta_5)), and == is False.
+_MISMATCH = {
+    ("fe", "fe'"): "cannot combine {F} with {O}",
+    ("fe", "poly'"): "coefficient in {F}, expected {O}",
+    ("poly", "fe'"): "coefficient in {O}, expected {F}",
+    ("poly", "poly'"): "cannot combine {F} with {O}",
+    ("fe'", "fe"): "cannot combine {O} with {F}",
+    ("fe'", "poly"): "coefficient in {O}, expected {F}",
+    ("poly'", "fe"): "coefficient in {F}, expected {O}",
+    ("poly'", "poly"): "cannot combine {O} with {F}",
+}
+
+
+def _operands(desc):
+    fe = FieldElement.zeta(desc) + 1  # 2 over Q
+    other = FieldDesc(5)
+    return {"int": 2, "frac": Fraction(1, 2), "fe": fe, "poly": Poly(desc, (fe, 1)),
+            "fe'": FieldElement.zeta(other), "poly'": Poly.gen(other)}
+
+
+def _outcome(op, a, b):
+    try:
+        r = op(a, b)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return r if isinstance(r, bool) else f"{type(r).__name__}: {r}"
+
+
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_mixed_operands_keep_their_classes_values_and_errors(m):
+    desc = FieldDesc(m)
+    vals = _operands(desc)
+    ops = (operator.add, operator.sub, operator.mul, operator.eq)
+    want = {(l, r): row for (mm, l, r), row in _OUTCOMES.items() if mm == m}
+    for (l, r), msg in _MISMATCH.items():
+        err = "FieldMismatch: " + msg.format(F=desc, O=FieldDesc(5))
+        want[(l, r)] = (err, err, err, False)
+    assert len(want) == 20
+    for (l, r), row in want.items():
+        a, b = vals[l], vals[r]
+        assert tuple(_outcome(op, a, b) for op in ops) == row, (l, r)
+        if a == b:
+            assert hash(a) == hash(b), (l, r)
+    assert Poly.constant(desc, vals["fe"]) != vals["fe"] and Poly.one(desc) != 1
+
+
+def test_scalar_and_polynomial_share_one_pair_class():
+    shared = {"_from_ints", "_coerce", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__"}
+    assert not shared & set(vars(FieldElement)) and not shared & set(vars(Poly))
+    assert FieldElement.__mro__[1] is Poly.__mro__[1]
+    assert FieldElement.rational(3).desc == RATIONALS
