@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 from .errors import FieldMismatch, UnsupportedCase
 from .field import FieldDesc, FieldElement, _int_text, power
-from .poly import Poly, check_degree_power, sigma_apply
+from .poly import Poly, check_degree_power
+from .poly import sigma_apply  # noqa: F401  (bench/layers.py rebinds core.sigma_apply by name)
 
 
 class Context:
@@ -61,8 +62,7 @@ class Context:
         memo = self._sigma
         out = memo.get((g, k))
         if out is None:
-            # sigma^k is itself the substitution h -> sigma^k(h), applied once
-            out = memo[(g, k)] = sigma_apply(g, self.sigma_h(k), 1)
+            out = memo[(g, k)] = g.compose(self.sigma_h(k))
         return out
 
     def z_power(self, k: int) -> "AlgebraElement":
@@ -198,8 +198,25 @@ class AlgebraElement:
         return multiply(o, self)
 
     def __pow__(self, e: int) -> "AlgebraElement":
+        """self^e by square-and-multiply, refused before the first product if one would pass the cap.
+
+        H(f) is a domain, so the top x- and y-exponents of self^m are m times
+        those of self: every check multiply would make is known up front.
+        """
         if not isinstance(e, int) or e < 0:
             raise ValueError("element exponent must be a nonnegative integer")
+        n = self.ctx.n
+        xs = max(map(itemgetter(0), self.terms), default=0)
+        ys = max(map(itemgetter(1), self.terms), default=0)
+        done, base, bits = 0, 1, e  # the product so far is self^done, the square self^base
+        while bits:
+            if bits & 1:
+                _check_product(n, done * ys, base * xs)
+                done += base
+            bits >>= 1
+            if bits:
+                _check_product(n, base * ys, base * xs)
+                base *= 2
         return power(self, e, AlgebraElement.one(self.ctx))
 
     def embed(self, target: FieldDesc) -> "AlgebraElement":
@@ -252,14 +269,15 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
 
     y^k x^j = (y^(k-1) x^j) y + (y^(k-1) x^(j-1)) (sigma^j(h) - h), filled
     in row by row from k = 1, so that a large k needs no deep recursion.
-    multiply has checked the degree cap for (k, j) before the call.
+    The second product is read from the sigma^k(h) tower term by term, with
+    no composition.  multiply has checked the degree cap for (k, j), that is
+    n^(k+j-1) >= n^(c+q) for every tower entry read, before the call.
     """
     memo = ctx._yx
     cached = memo.get((k, j))
     if cached is not None:
         return cached
     one = Poly.one(ctx.field)
-    y = AlgebraElement(ctx, {(0, 1): one})
 
     def known(r: int, c: int) -> AlgebraElement:  # x^c and y^r themselves are not stored
         return memo[(r, c)] if r and c else AlgebraElement(ctx, {(c, r): one})
@@ -267,9 +285,19 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
     for r in range(1, k + 1):
         for c in range(max(1, j - k + r), j + 1):
             if (r, c) not in memo:
-                corr = ctx.sigma_h(c) - Poly.gen(ctx.field)
-                memo[(r, c)] = known(r - 1, c) * y + known(r - 1, c - 1) * corr
+                out = {(p, q + 1): w for (p, q), w in known(r - 1, c).terms.items()}
+                for (p, q), w in known(r - 1, c - 1).terms.items():
+                    # x^p w y^q (sigma^c(h) - h) = x^p w sigma^q(sigma^c(h) - h) y^q, and
+                    # sigma^q is a ring endomorphism: sigma^q(sigma^c(h) - h) = sigma^(c+q)(h) - sigma^q(h)
+                    _add_term(out, p, q, w * (ctx.sigma_h(c + q) - ctx.sigma_h(q)))
+                memo[(r, c)] = AlgebraElement(ctx, out)
     return known(k, j)
+
+
+def _check_product(n: int, top_k: int, top_j: int) -> None:
+    """The degree cap for a product whose left factor reaches y^top_k and right factor x^top_j."""
+    if top_k and top_j:
+        check_degree_power(n, top_k + top_j - 1)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -283,10 +311,8 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.ctx != b.ctx:
         raise FieldMismatch("elements live over different contexts")
     ctx = a.ctx
-    top_k = max(map(itemgetter(1), a.terms), default=0)
-    top_j = max(map(itemgetter(0), b.terms), default=0)
-    if top_k and top_j:
-        check_degree_power(ctx.n, top_k + top_j - 1)
+    _check_product(ctx.n, max(map(itemgetter(1), a.terms), default=0),
+                   max(map(itemgetter(0), b.terms), default=0))
     sigma = ctx.sigma
     out: dict[tuple[int, int], Poly] = {}
     for (i, k), g in a.terms.items():

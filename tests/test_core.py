@@ -21,7 +21,7 @@ from gha.core import (
 from gha.errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
 from gha.field import FieldDesc, FieldElement
 from gha.parser import parse_element, parse_poly
-from gha.poly import Poly, sigma_power_h
+from gha.poly import Poly, set_degree_cap, sigma_power_h
 
 from .free_oracle import oracle_product
 from .helpers import random_diagonal_element, random_element, random_scalar
@@ -364,3 +364,41 @@ def test_degree_cap_is_checked_before_any_product(monkeypatch):
     assert calls == []
     multiply(parse_element("y + y^16", ctx), b)  # at the cap: both pairs are built
     assert sorted(calls) == [(1, 1), (16, 1)]
+
+
+def test_power_is_refused_before_the_first_product(monkeypatch):
+    # H(f) is a domain, so the top exponents of a^e are e times those of a:
+    # the square that would pass the cap is known before any product
+    import gha.core
+
+    ctx = ctx_for("h^2")
+    x, y, _, _ = generators(ctx)
+    cases = [(x + y, 40), (multiply(x, y), 100_000_000)]
+    calls = []
+    real = gha.core.multiply
+    monkeypatch.setattr(gha.core, "multiply", lambda a, b: calls.append((a, b)) or real(a, b))
+    for base, e in cases:
+        with pytest.raises(DegreeCapExceeded, match=r"^result degree 2\^31 exceeds the cap 100000$"):
+            base ** e
+    assert calls == []
+    # (x+y)^16 squares up to degree 2^15, under the cap: it is handed to the product loop
+    monkeypatch.setattr(gha.core, "power", lambda base, e, one: (base, e))
+    assert (x + y) ** 16 == (x + y, 16)
+
+
+def test_power_at_the_cap_is_computed(monkeypatch):
+    # the boundary of (x+y)^16 and (x+y)^32 under the default cap, scaled down to cap 2^7
+    import gha.core
+
+    set_degree_cap(2 ** 7)
+    ctx = ctx_for("h^2")
+    x, y, _, _ = generators(ctx)
+    s = x + y
+    s4 = multiply(multiply(s, s), multiply(s, s))
+    assert s ** 8 == multiply(s4, s4)  # its last square reaches degree 2^7
+    calls = []
+    real = gha.core.multiply
+    monkeypatch.setattr(gha.core, "multiply", lambda a, b: calls.append((a, b)) or real(a, b))
+    with pytest.raises(DegreeCapExceeded, match=r"^result degree 2\^15 exceeds the cap 128$"):
+        s ** 16
+    assert calls == []

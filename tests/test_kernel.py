@@ -6,16 +6,18 @@ reduced by long division with Phi_m, whose coefficients are written out
 by hand, so the reference shares no code with the package.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from gha import field  # noqa: E402
 from gha.core import AlgebraElement, Context  # noqa: E402
-from gha.field import FieldDesc, FieldElement, _int_text, _text_int  # noqa: E402
+from gha.field import FieldDesc, FieldElement, _convolve_ks, _int_text, _text_int  # noqa: E402
 from gha.parser import parse_element, parse_poly  # noqa: E402
 from gha.poly import Poly, poly_gcd  # noqa: E402
 
@@ -244,6 +246,74 @@ def test_scalar_pair_is_canonical_and_round_trips(c, k):
 def test_int_text_has_no_digit_limit(n):
     assert _int_text(n) == digits(n)
     assert _text_int(digits(abs(n))) == abs(n)
+
+
+# --- Kronecker substitution -----------------------------------------------------------------
+
+
+def ref_convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def int_row(draw):
+    """A nonempty list of ints with mixed signs and zeros, its entries up to a drawn number of digits."""
+    size = draw(st.sampled_from([1, 3, 40, 700, 5200]))
+    bound = 10 ** size
+    entries = st.integers(-bound, bound) | st.just(0)
+    return draw(st.lists(entries, min_size=1, max_size=4 if size > 40 else 24))
+
+
+BIG = 10 ** 5000 + 7  # 5001 digits, past the default int/str digit limit of 4,300
+
+
+@KERNEL
+@given(int_row(), int_row())
+@example([BIG, 0, -BIG], [-BIG, 1])
+@example([-1], [BIG])
+@example([0, 0], [0])
+def test_kronecker_convolution_matches_schoolbook(a, b):
+    assert _convolve_ks(a, b) == ref_convolve(a, b)
+
+
+def test_kronecker_path_is_chosen_by_operand_sizes(monkeypatch):
+    calls = []
+
+    def recording(a, b):
+        calls.append((len(a), len(b)))
+        return _convolve_ks(a, b)
+
+    monkeypatch.setattr(field, "_convolve_ks", recording)
+    rng = random.Random(3)
+    balanced = [[rng.randint(-99, 99) for _ in range(300)] for _ in range(2)]
+    short = [rng.randint(-99, 99) for _ in range(3)]
+    wide = [rng.getrandbits(3000) for _ in range(300)]
+    assert field._convolve(*balanced) == ref_convolve(*balanced)
+    assert calls == [(300, 300)]
+    assert field._convolve(balanced[0], short) == ref_convolve(balanced[0], short)
+    assert field._convolve(wide, short) == ref_convolve(wide, short)
+    assert calls == [(300, 300)]
+    monkeypatch.setattr(field, "_KRONECKER", None)  # decimal without libmpdec
+    assert field._convolve(*balanced) == ref_convolve(*balanced)
+    assert calls == [(300, 300)]
+
+
+@KERNEL
+@given(st.sampled_from([1, 3]).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(scalar(m), min_size=3, max_size=4))),
+    st.integers(1, 2), st.integers(0, 2))
+def test_sigma_of_a_tower_difference_is_a_tower_difference(c, k, q):
+    # sigma^q is a ring endomorphism of K[h]: sigma^q(sigma^k(h) - h) = sigma^(k+q)(h) - sigma^q(h)
+    m, coeffs = c
+    f = to_poly(m, coeffs)
+    assume(f.degree >= 2)
+    ctx = Context(f)
+    h = Poly.gen(ctx.field)
+    assert ctx.sigma(ctx.sigma_h(k) - h, q) == ctx.sigma_h(k + q) - ctx.sigma_h(q)
 
 
 # --- canonical form ---------------------------------------------------------------------
