@@ -13,11 +13,15 @@ from kernel results and gives both +, -, *, == and hash; FieldElement and
 poly.Poly add only what a scalar or a polynomial has of its own.  Printers
 read the rows and write ints through decimal, which has no digit limit.
 
-Every product is one integer convolution.  Long, dense operands of
-comparable bit size go through Kronecker substitution: packed into one
-decimal number each and multiplied by libmpdec, whose number-theoretic
-transform makes the product subquadratic.  The rest, and every product
-when decimal is the pure-Python _pydecimal, take the schoolbook sweep.
+Every product is one integer convolution.  Two operands of 32 entries or
+more that share a step s > 1, each nonzero only at o, o + s, o + 2s, ...,
+convolve every s-th entry: sigma^k(h) lies in h K[h^s] when s divides
+i - 1 for every power h^i of f, as 2 does for h^3 + h.  Long, dense
+operands of comparable bit size go through Kronecker substitution: packed
+into one decimal number each and multiplied by libmpdec, whose
+number-theoretic transform makes the product subquadratic.  The rest, and
+every product when decimal is the pure-Python _pydecimal, take the
+schoolbook sweep.
 
 The degree cap lives here too: it bounds the field degree phi(m), checked
 when FieldDesc.degree is first computed, and the polynomial degrees that
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, islice
 
 from .errors import DegreeCapExceeded, FieldMismatch, NoEmbedding, UnsupportedCase
 
@@ -187,15 +191,33 @@ def _add(a: list[int], da: int, b: list[int], db: int) -> tuple[list[int], int]:
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     """Integer convolution.
 
-    By Kronecker substitution (_convolve_ks) where _kronecker_pays finds it
+    When both operands have 32 entries or more and each lies in t^o K[t^s]
+    for one common step s > 1 (its nonzero entries at o, o + s, o + 2s, ...),
+    the convolution of every s-th entry, written back at stride s.  Then by
+    Kronecker substitution (_convolve_ks) where _kronecker_pays finds it
     cheaper, from both lengths, their nonzero entries and their bit sizes;
     otherwise one slice-wise sweep of the longer operand per nonzero entry
     of the shorter.  The sweep also serves when decimal has no libmpdec.
+    Shorter operands go straight to the sweep: there neither check pays.
     """
     if len(a) < len(b):
         a, b = b, a
-    if _KRONECKER is not None and _kronecker_pays(a, b):
-        return _convolve_ks(a, b)
+    if len(b) >= 32:
+        # the first three nonzero positions of each: a mixed operand shows step 1 here
+        heads = [list(islice(compress(range(len(v)), v), 3)) for v in (a, b)]
+        if all(heads):  # neither is all zero
+            (oa, *_), (ob, *_) = heads
+            s = math.gcd(*[p - h[0] for h in heads for p in h[1:]])
+            if s > 1:
+                s = math.gcd(s, *compress(range(-oa, len(a) - oa), a),
+                             *compress(range(-ob, len(b) - ob), b))
+            if s > 1:
+                short = _convolve(a[oa::s], b[ob::s])
+                out = [0] * (len(a) + len(b) - 1)
+                out[oa + ob:oa + ob + s * len(short):s] = short
+                return out
+        if _KRONECKER is not None and _kronecker_pays(a, b):
+            return _convolve_ks(a, b)
     n = len(a)
     out = [0] * (n + len(b) - 1)
     for j, y in enumerate(b):
@@ -230,10 +252,11 @@ def _kronecker_pays(a: list[int], b: list[int]) -> bool:
     39 (la + lb)(w + 22), w its slot width: it pays the widest slot for every
     entry of both, so it loses on sparse operands and on bit-unbalanced ones
     (a long, wide Horner accumulator times a short, narrow inner polynomial).
-    With fewer than 32 nonzero entries in b it wins too rarely to scan for.
+    With fewer than 32 nonzero entries in b it wins too rarely to scan for;
+    _convolve calls it only when b has 32 entries or more.
     """
     la, lb = len(a), len(b)
-    if lb < 32 or (nb := lb - b.count(0)) < 32:
+    if (nb := lb - b.count(0)) < 32:
         return False
     ba, bb = _bits(a), _bits(b)
     sweep = nb * (71 * la + (la - a.count(0)) * max(1, (ba + 29) // 30) * max(1, (bb + 29) // 30))

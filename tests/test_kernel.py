@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from gha import field  # noqa: E402
+from gha import field, poly  # noqa: E402
 from gha.core import AlgebraElement, Context  # noqa: E402
 from gha.field import FieldDesc, FieldElement, _convolve_ks, _int_text, _text_int  # noqa: E402
 from gha.parser import parse_element, parse_poly  # noqa: E402
@@ -150,6 +150,54 @@ def test_compose_and_power_match_reference(c, e):
     for _ in range(e):
         want = ref_pmul(m, want, p)
     assert data(P ** e) == want
+
+
+def _ref_scalar(rng, m):
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(len(PHI[m]) - 1))
+
+
+@pytest.mark.parametrize("m", [1, 3, 12])
+@pytest.mark.parametrize("inner_degree", [-1, 0, 1, 2])
+def test_compose_past_one_horner_leaf_matches_reference(monkeypatch, m, inner_degree):
+    # outers of more than 8 coefficients are built from Horner leaves of 8
+    # joined by products with N^8, N^16, ...: from a result degree of 512 on,
+    # here from every degree
+    monkeypatch.setattr(poly, "_JOIN_DEGREE", 0)
+    rng = random.Random(m * 10 + inner_degree)
+    degrees = [*range(18), 23, 24, 25, 31, 32, 33, 40]
+    if inner_degree == 2:
+        degrees = [7, 8, 9, 15, 16, 17, 40]
+    for n in degrees:
+        p = ref_trim(m, [_ref_scalar(rng, m) for _ in range(n + 1)])
+        q = ref_trim(m, [_ref_scalar(rng, m) for _ in range(inner_degree + 1)])
+        P, Q = to_poly(m, p), to_poly(m, q)
+        assert data(P.compose(Q)) == ref_compose(m, p, q)
+        x = _ref_scalar(rng, m)
+        assert P(FieldElement(FieldDesc(m), x)).coords == ref_eval(m, p, x)
+
+
+def test_compose_of_a_tower_entry_with_itself_counts_its_convolutions(monkeypatch):
+    # sigma^4(h) for f = h^3 + h has 82 coefficients: ten Horner leaves of 8
+    # (7 products each) and one of 2 (1 product), N^8 by three squarings,
+    # then 5 + 3 + 1 + 1 joins with N^8, N^16, N^32, N^64 between three more
+    # squarings: 87 products.  Every operand lies in h^o K[h^2], so each
+    # product of two operands of 32 entries or more convolves every other
+    # entry, one more call: all but the first product of each leaf, 76.
+    f = parse_poly("h^3 + h", FieldDesc(1))
+    s = Context(f).sigma_h(4)
+    calls = []  # length of the shorter operand
+    convolve = field._convolve
+
+    def recording(a, b):
+        calls.append(min(len(a), len(b)))
+        return convolve(a, b)
+
+    monkeypatch.setattr(field, "_convolve", recording)
+    out = s.compose(s)
+    monkeypatch.undo()
+    assert out == Context(f).sigma_h(8)
+    assert len(calls) == 87 + 76
+    assert sum(n < 32 for n in calls) == 11
 
 
 @KERNEL
@@ -300,6 +348,51 @@ def test_kronecker_path_is_chosen_by_operand_sizes(monkeypatch):
     monkeypatch.setattr(field, "_KRONECKER", None)  # decimal without libmpdec
     assert field._convolve(*balanced) == ref_convolve(*balanced)
     assert calls == [(300, 300)]
+
+
+def _stepped(rng, length, offset, s, size):
+    """length entries, nonzero only at offset, offset + s, ...: mixed signs, a few zeros."""
+    out = [0] * length
+    for i in range(offset, length, s):
+        out[i] = rng.choice([0, 1, -1]) * rng.randint(1, 10 ** size)
+    out[offset] = out[offset] or 1
+    return out
+
+
+@pytest.mark.parametrize("pays", [False, True], ids=["sweep", "kronecker"])
+@pytest.mark.parametrize("length", [31, 32, 33, 200])
+def test_convolution_by_step_matches_schoolbook(monkeypatch, length, pays):
+    # operands in t^o K[t^s] convolve every s-th entry when both have 32
+    # entries or more; the compressed product takes the sweep or, long
+    # enough, the substitution _kronecker_pays is forced to choose here
+    monkeypatch.setattr(field, "_kronecker_pays", lambda a, b: pays)
+    calls = []
+    convolve = field._convolve
+
+    def recording(a, b):
+        calls.append((len(a), len(b)))
+        return convolve(a, b)
+
+    monkeypatch.setattr(field, "_convolve", recording)
+    rng = random.Random(length)
+    for s in range(1, 6):
+        for oa, ob in [(0, 0), (1, 0), (s - 1, 2), (3, s)]:
+            for size in (1, 700):
+                a = _stepped(rng, length, oa, s, size)
+                b = _stepped(rng, length - rng.randint(0, 1), ob, s, 1)
+                calls.clear()
+                assert field._convolve(a, b) == ref_convolve(a, b)
+                assert len(calls) == (2 if s > 1 and len(b) >= 32 else 1)
+                if s > 1 and len(b) >= 32:
+                    assert calls[1] == (len(a[oa::s]), len(b[ob::s]))
+                    a[oa + s * 3 + 1] = -5  # the step shows in the first entries, not in all
+                    calls.clear()
+                    assert field._convolve(a, b) == ref_convolve(a, b)
+                    assert len(calls) == 1
+    zero = [0] * length  # an all-zero, untrimmed operand
+    a = _stepped(rng, length, 1, 2, 1)
+    assert field._convolve(a, zero) == field._convolve(zero, a) == [0] * (2 * length - 1)
+    assert field._convolve(zero, zero) == [0] * (2 * length - 1)
 
 
 @KERNEL
