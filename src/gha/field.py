@@ -26,12 +26,17 @@ schoolbook sweep.
 The degree cap lives here too: it bounds the field degree phi(m), checked
 when FieldDesc.degree is first computed, and the polynomial degrees that
 poly checks.
+
+_Value, the base of FieldDesc and of the package's other small immutable
+records (the parser's tree nodes, the structure and morphism reports), is
+here because every other module imports this one.  They are plain slotted
+classes, so a process that imports gha compiles no generated methods and
+loads neither dataclasses nor the inspect module it imports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -420,15 +425,62 @@ def cyclotomic_coeffs(m: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in _cyclotomic_ints(m))
 
 
-@dataclass(frozen=True)
-class FieldDesc:
+_setattr = object.__setattr__
+
+
+class _Value:
+    """An immutable value: its fields, named in order by __match_args__, live in __slots__.
+
+    A subclass sets them in its own positional __init__ through _setattr;
+    after that, assignment raises AttributeError.  Equality goes by class
+    and field values, hash by field values, and repr reads as a dataclass's;
+    copy and pickle call the class on the field values.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class FieldDesc(_Value):
     """Q (m = 1) or the cyclotomic field Q(zeta_m)."""
 
-    m: int = 1
+    __slots__ = ("m", "__dict__")  # the __dict__ holds the cached degree
+    __match_args__ = ("m",)
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int = 1):
+        if m < 1:
             raise ValueError("cyclotomic index must be >= 1")
+        _setattr(self, "m", m)
+
+    def __eq__(self, other):  # hot: Poly.__init__ checks each coefficient's field, most often self
+        if other.__class__ is not FieldDesc:
+            return NotImplemented
+        return self is other or self.m == other.m
+
+    def __hash__(self):
+        return hash((self.m,))
 
     @property
     def is_rational(self) -> bool:

@@ -22,28 +22,28 @@ such h -> a*h + b fixes (see automorphism_group).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import AlgebraElement, Context, generators, homogeneous_parts
 from .errors import FieldMismatch, UnsupportedCase
-from .field import FieldDesc, FieldElement
+from .field import FieldDesc, FieldElement, _setattr, _Value
 from .poly import Poly
 from .structure import shift_polynomial
 
 
-@dataclass(frozen=True)
-class DerivationSpec:
+class DerivationSpec(_Value):
     """A candidate derivation, recorded by the images of x, y and h."""
 
-    ctx: Context
-    im_x: AlgebraElement
-    im_y: AlgebraElement
-    im_h: AlgebraElement
+    __slots__ = __match_args__ = ("ctx", "im_x", "im_y", "im_h")
 
-    def __post_init__(self):
-        for image in (self.im_x, self.im_y, self.im_h):
-            if image.ctx != self.ctx:
+    def __init__(self, ctx: Context, im_x: AlgebraElement, im_y: AlgebraElement,
+                 im_h: AlgebraElement):
+        for image in (im_x, im_y, im_h):
+            if image.ctx != ctx:
                 raise FieldMismatch("derivation images live over different contexts")
+        _setattr(self, "ctx", ctx)
+        _setattr(self, "im_x", im_x)
+        _setattr(self, "im_y", im_y)
+        _setattr(self, "im_h", im_h)
 
     @staticmethod
     def diagonal(ctx: Context, lam=1) -> "DerivationSpec":
@@ -129,10 +129,12 @@ def classify_locally_finite(d: DerivationSpec) -> FieldElement | None:
     return lam if d == DerivationSpec.diagonal(d.ctx, lam) else None
 
 
-@dataclass(frozen=True)
-class NilpotencyProbe:
-    nilpotent: bool
-    steps: int
+class NilpotencyProbe(_Value):
+    __slots__ = __match_args__ = ("nilpotent", "steps")
+
+    def __init__(self, nilpotent: bool, steps: int):
+        _setattr(self, "nilpotent", nilpotent)
+        _setattr(self, "steps", steps)
 
     def __str__(self):
         return f"NilpotentAt({self.steps})" if self.nilpotent else f"NotNilpotentWithin({self.steps})"
@@ -159,18 +161,21 @@ def x_fixing_pair_is_valid(f: Poly, a: FieldElement, b: FieldElement) -> bool:
     return fe.compose(Poly(a.field, (b, a))) == fe * a + b
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(_Value):
     """Aut(H(f)) = (scaling torus phi_lambda) x (cyclic x-fixing part).
 
     generator is the pair (a, b) of the x-fixing map x -> x, y -> a*y,
     h -> a*h + b generating the cyclic part; its order divides n - 1.
     """
 
-    n: int
-    cyclic_order: int
-    generator: tuple[FieldElement, FieldElement]
-    field: FieldDesc
+    __slots__ = __match_args__ = ("n", "cyclic_order", "generator", "field")
+
+    def __init__(self, n: int, cyclic_order: int, generator: tuple[FieldElement, FieldElement],
+                 field: FieldDesc):
+        _setattr(self, "n", n)
+        _setattr(self, "cyclic_order", cyclic_order)
+        _setattr(self, "generator", generator)
+        _setattr(self, "field", field)
 
     def describe(self) -> str:
         return f"C* x Z_{self.cyclic_order}"

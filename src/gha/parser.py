@@ -6,65 +6,77 @@ literal nonnegative integers.  'z' is input sugar for x*y - h; printed
 output never uses it.  Polynomial inputs (the --f flag) additionally
 allow implicit multiplication, as in '2h^3 - h'.  Parentheses nest at
 most MAX_NESTING deep.
+
+The tree's nodes are immutable values (field._Value) with positional
+constructors and class patterns; tokens are a NamedTuple.  A parse builds
+a node per operator and a token per lexeme, so both stay cheap to make.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .core import AlgebraElement, Context, generators
 from .errors import ParseError
-from .field import RATIONALS, FieldDesc, FieldElement, _text_int
+from .field import RATIONALS, FieldDesc, FieldElement, _setattr, _text_int, _Value
 from .poly import Poly
 
 Expr = Union["Num", "Sym", "Add", "Sub", "Mul", "Neg", "Pow"]
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(_Value):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        _setattr(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str  # x, y, h, z or zeta
+class Sym(_Value):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):  # x, y, h, z or zeta
+        _setattr(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: Expr
-    right: Expr
+class _Binary(_Value):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: Expr
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: Expr
-    exponent: int
+class Neg(_Value):
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        _setattr(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class _Token:
+class Pow(_Value):
+    __slots__ = __match_args__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        _setattr(self, "base", base)
+        _setattr(self, "exponent", exponent)
+
+
+class _Token(NamedTuple):
     kind: str  # INT, NAME, OP, END
     text: str
     pos: int

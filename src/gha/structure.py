@@ -8,13 +8,12 @@ ideal (sigma^1(h), ..., sigma^(n+1)(h)) of C[h] is (f) for every n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .core import AlgebraElement, Context, multiply
 from .errors import UnsupportedCase
-from .field import FieldElement, divisors
+from .field import FieldElement, _setattr, _Value, divisors
 from .poly import NEG_INF, Poly, decompose_as_polynomial_in
 
 
@@ -23,13 +22,17 @@ class CenterKind(Enum):
     NOT_COMPUTED_DEG_ONE = "not computed (deg f = 1)"
 
 
-@dataclass(frozen=True)
-class Classification:
-    deg_f: int
-    is_domain: bool
-    is_noetherian: bool
-    is_generalized_down_up: bool
-    center_description: CenterKind
+class Classification(_Value):
+    __slots__ = __match_args__ = (
+        "deg_f", "is_domain", "is_noetherian", "is_generalized_down_up", "center_description")
+
+    def __init__(self, deg_f: int, is_domain: bool, is_noetherian: bool,
+                 is_generalized_down_up: bool, center_description: CenterKind):
+        _setattr(self, "deg_f", deg_f)
+        _setattr(self, "is_domain", is_domain)
+        _setattr(self, "is_noetherian", is_noetherian)
+        _setattr(self, "is_generalized_down_up", is_generalized_down_up)
+        _setattr(self, "center_description", center_description)
 
 
 def classify(ctx: Context) -> Classification:
@@ -46,13 +49,15 @@ def classify(ctx: Context) -> Classification:
     )
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(_Value):
     """Whether h lies in the ideal (sigma^1(h), ..., sigma^(n+1)(h)) of C[h]."""
 
-    n: int
-    generator_gcd: Poly
-    is_member: bool
+    __slots__ = __match_args__ = ("n", "generator_gcd", "is_member")
+
+    def __init__(self, n: int, generator_gcd: Poly, is_member: bool):
+        _setattr(self, "n", n)
+        _setattr(self, "generator_gcd", generator_gcd)
+        _setattr(self, "is_member", is_member)
 
 
 def noetherian_witness(ctx: Context, max_n: int) -> list[WitnessReport]:
@@ -150,11 +155,13 @@ def zh_membership(a: AlgebraElement) -> dict[int, Poly] | None:
     return {k: out[k] for k in sorted(out)}
 
 
-@dataclass(frozen=True)
-class GradingFamily:
+class GradingFamily(_Value):
     """All admissible generator gradings: integer multiples of the generator."""
 
-    generator: tuple[int, int, int] = (1, -1, 0)
+    __slots__ = __match_args__ = ("generator",)
+
+    def __init__(self, generator: tuple[int, int, int] = (1, -1, 0)):
+        _setattr(self, "generator", generator)
 
     def member(self, l: int) -> tuple[int, int, int]:
         dx, dy, dh = self.generator
