@@ -7,7 +7,9 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import contextvars
 import functools
+import os
 import re
 import sys
 from itertools import compress
@@ -15,8 +17,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import AlgebraElement, Context, commutator, sigma_h0
 from .errors import GhaError, ParseError
-from .field import (RATIONALS, FieldDesc, FieldElement, _int_text, _ratio_text, degree_cap,
-                    set_degree_cap)
+from .field import RATIONALS, FieldDesc, FieldElement, _int_text, _ratio_text, set_degree_cap
 from .morphisms import (
     DerivationSpec,
     automorphism_group,
@@ -297,7 +298,10 @@ def run(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own diagnostics
         return int(exc.code or 0)
-    previous_cap = degree_cap()
+    return contextvars.copy_context().run(_run_command, args)  # a --degree-cap ends with the call
+
+
+def _run_command(args) -> int:
     if args.degree_cap is not None:
         set_degree_cap(args.degree_cap)
     try:
@@ -312,12 +316,14 @@ def run(argv=None) -> int:
     except (GhaError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        set_degree_cap(previous_cap)
 
 
 def main() -> int:
-    return run()
+    try:
+        return run()
+    except BrokenPipeError:  # the reader closed stdout: the final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

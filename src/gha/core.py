@@ -21,8 +21,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import FieldMismatch, UnsupportedCase
-from .field import FieldDesc, FieldElement, _int_text, power
-from .poly import Poly, check_degree_power
+from .field import FieldDesc, FieldElement, _int_text, check_degree, power
+from .poly import Poly, _sigma_tower
 from .poly import sigma_apply  # noqa: F401  (bench/layers.py rebinds core.sigma_apply by name)
 
 
@@ -35,7 +35,7 @@ class Context:
         self.f = f
         self.field = f.field
         self.n = int(f.degree) if not f.is_zero else 0
-        self._sigma_h: list[Poly] = [Poly.gen(f.field)]  # sigma^k(h) at index k
+        self._sigma_h: list[Poly] = [Poly.gen(f.field), f]  # sigma^k(h) at index k
         self._sigma: dict[tuple[Poly, int], Poly] = {}  # (g, k) -> sigma^k(g)
         self._yx: dict[tuple[int, int], "AlgebraElement"] = {}  # (k, j) -> y^k x^j
         self._z: list["AlgebraElement"] = [AlgebraElement.one(self)]  # z^k at index k
@@ -48,12 +48,7 @@ class Context:
 
     def sigma_h(self, k: int) -> Poly:
         """sigma^k(h); the degree cap is checked before any composition."""
-        tower = self._sigma_h
-        if k >= len(tower) and self.f.degree > 1:
-            check_degree_power(self.f.degree, k)
-        while len(tower) <= k:
-            tower.append(self.f.compose(tower[-1]))
-        return tower[k]
+        return _sigma_tower(self._sigma_h, k)
 
     def sigma(self, g: Poly, k: int) -> Poly:
         """sigma^k(g) = g(sigma^k(h))."""
@@ -297,7 +292,7 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
 def _check_product(n: int, top_k: int, top_j: int) -> None:
     """The degree cap for a product whose left factor reaches y^top_k and right factor x^top_j."""
     if top_k and top_j:
-        check_degree_power(n, top_k + top_j - 1)
+        check_degree(n, top_k + top_j - 1)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

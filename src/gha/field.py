@@ -23,9 +23,9 @@ number-theoretic transform makes the product subquadratic.  The rest, and
 every product when decimal is the pure-Python _pydecimal, take the
 schoolbook sweep.
 
-The degree cap lives here too: it bounds the field degree phi(m), checked
-when FieldDesc.degree is first computed, and the polynomial degrees that
-poly checks.
+The degree cap lives here too, in a context variable, as decimal's context
+does.  It bounds the field degree phi(m), checked when FieldDesc.degree is
+first computed, and through check_degree the result degrees of poly and core.
 
 _Value, the base of FieldDesc and of the package's other small immutable
 records (the parser's tree nodes, the structure and morphism reports), is
@@ -37,6 +37,7 @@ loads neither dataclasses nor the inspect module it imports.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -51,19 +52,29 @@ except ImportError:  # decimal is then the pure-Python _pydecimal, which multipl
 else:  # exact integer arithmetic in libmpdec, apart from the thread's decimal context
     _KRONECKER = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-_degree_cap = 100_000
+_DEGREE_CAP = ContextVar("gha_degree_cap", default=100_000)
 
 
 def degree_cap() -> int:
-    return _degree_cap
+    return _DEGREE_CAP.get()
 
 
 def set_degree_cap(cap: int) -> None:
-    """Set the global guard on polynomial degrees and field degrees phi(m)."""
-    global _degree_cap
+    """Set the guard on polynomial degrees and field degrees phi(m) in the current context."""
     if cap < 1:
         raise ValueError("degree cap must be positive")
-    _degree_cap = cap
+    _DEGREE_CAP.set(cap)
+
+
+def check_degree(n, e: int = 1) -> None:
+    """Raise DegreeCapExceeded if a result of degree n^e would pass the cap."""
+    cap = _DEGREE_CAP.get()
+    if e != 1:
+        if n > 1 and e > cap.bit_length():  # then n^e >= 2^e > cap: n^e is not formed
+            raise DegreeCapExceeded(f"result degree {n}^{_int_text(e)} exceeds the cap {cap}")
+        n **= e
+    if n > cap:  # false for the zero polynomial's degree, -inf
+        raise DegreeCapExceeded(f"result degree {_int_text(n)} exceeds the cap {cap}")
 
 
 def divisors(m: int) -> list[int]:
@@ -488,8 +499,8 @@ class FieldDesc(_Value):
 
     @cached_property
     def degree(self) -> int:
-        """Dimension phi(m) over Q; DegreeCapExceeded when it passes the degree cap."""
-        cap = _degree_cap
+        """phi(m), cached; DegreeCapExceeded past the cap in force when first computed."""
+        cap = _DEGREE_CAP.get()
         if self.m > 2 * cap * cap:  # phi(m) >= sqrt(m/2) > cap, no need to factor m
             raise DegreeCapExceeded(f"field degree phi({self.m}) exceeds the cap {cap}")
         phi = euler_phi(self.m)

@@ -5,7 +5,7 @@ This module also carries the composition machinery used everywhere
 above it: the endomorphism sigma acts on coefficient polynomials by
 g |-> g(f), and the iterated images sigma^k(h) = f o ... o f underpin
 every normal-form computation.  Degrees grow like (deg f)^k, so the
-growing operations check a global degree cap first.
+growing operations check the degree cap of the current context first.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 
-from .errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
-from .field import (FieldDesc, FieldElement, _divmod, _int_text, _inverse, _join, _mul, _Pair,
-                    _row_terms, _trim, degree_cap, monomial, power, signed_sum)
-from .field import set_degree_cap  # noqa: F401  (re-exported: gha.poly.set_degree_cap)
+from .errors import FieldMismatch, UnsupportedCase
+from .field import (FieldDesc, FieldElement, _divmod, _inverse, _join, _mul, _Pair, _row_terms,
+                    _trim, check_degree, monomial, power, signed_sum)
+from .field import degree_cap, set_degree_cap  # noqa: F401  (re-exported by gha.poly)
 
 NEG_INF = float("-inf")
 
@@ -25,21 +25,6 @@ NEG_INF = float("-inf")
 # rule over the whole outer polynomial does less work: on random operands
 # the joins took 1.1-1.9 times as long at result degrees 128-256.
 _JOIN_DEGREE = 512
-
-
-def check_degree(d) -> None:
-    """Raise DegreeCapExceeded if a result of degree d would pass the cap."""
-    cap = degree_cap()
-    if d != NEG_INF and d > cap:
-        raise DegreeCapExceeded(f"result degree {_int_text(d)} exceeds the cap {cap}")
-
-
-def check_degree_power(n: int, e: int) -> None:
-    """check_degree(n^e), without forming n^e when e alone shows it too large."""
-    cap = degree_cap()
-    if n > 1 and e > cap.bit_length():  # then n^e >= 2^e > cap
-        raise DegreeCapExceeded(f"result degree {n}^{_int_text(e)} exceeds the cap {cap}")
-    check_degree(n ** e)
 
 
 class Poly(_Pair):
@@ -240,21 +225,21 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return p.monic()
 
 
-def sigma_power_h(f: Poly, k: int) -> Poly:
-    """sigma^k(h) for the endomorphism sigma(h) = f(h); sigma^0(h) = h.
-
-    Nothing is cached here: a Context memoizes the iterates it uses.
-    """
+def _sigma_tower(tower: list[Poly], k: int) -> Poly:
+    """sigma^k(h) from tower = [h, f, f(f), ...], grown in place, the cap checked first."""
     if k < 0:
         raise ValueError("sigma power must be nonnegative")
-    if k == 0:
-        return Poly.gen(f.field)
-    if f.degree > 1:
-        check_degree_power(f.degree, k)  # prospective, before any huge intermediate
-    s = f
-    for _ in range(k - 1):
-        s = f.compose(s)
-    return s
+    f = tower[1]
+    if k >= len(tower) and f.degree > 1:
+        check_degree(f.degree, k)
+    while len(tower) <= k:
+        tower.append(f.compose(tower[-1]))
+    return tower[k]
+
+
+def sigma_power_h(f: Poly, k: int) -> Poly:
+    """sigma^k(h) for sigma(h) = f(h), sigma^0(h) = h; uncached (Context.sigma_h memoizes)."""
+    return _sigma_tower([Poly.gen(f.field), f], k)
 
 
 def sigma_apply(g: Poly, f: Poly, k: int) -> Poly:

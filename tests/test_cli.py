@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -226,6 +227,38 @@ def test_degree_cap_option(capsys):
     assert "expected a positive integer" in err
 
 
+def test_degree_cap_option_holds_for_its_own_run_only(capsys, monkeypatch):
+    # two runs in threads, one with --degree-cap 10, inside nf h^50 at once
+    entered, computed = threading.Barrier(2, timeout=60), threading.Barrier(2, timeout=60)
+    nf = cli._COMMANDS["nf"]
+
+    def nf_in_step(ctx, args):
+        entered.wait()  # both runs have set their cap, or not
+        try:
+            return nf(ctx, args)
+        finally:
+            computed.wait()  # neither run returns before both have computed
+
+    monkeypatch.setitem(cli._COMMANDS, "nf", nf_in_step)
+    before = degree_cap()
+    options = {"capped": ["--degree-cap", "10"], "free": []}
+    codes = {}
+
+    def call(name):
+        codes[name] = run(["--f", "h^2", *options[name], "nf", "h^50"])
+
+    threads = [threading.Thread(target=call, args=(name,)) for name in options]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert codes == {"capped": 1, "free": 0}
+    captured = capsys.readouterr()
+    assert captured.out == "(h^50)\n"
+    assert "exceeds the cap 10" in captured.err
+    assert degree_cap() == before
+
+
 def test_zero_denominator_is_syntax_error(capsys):
     code, _, err = invoke(capsys, "--f", "h^2", "nf", "1/0")
     assert code == 2
@@ -250,6 +283,22 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(h^2 - h) + x^1 * (1) * y^1"
+
+
+def test_main_exits_quietly_when_the_reader_closes_stdout():
+    # 2^300000 prints 90,309 digits, more than a 64 KiB pipe holds, so the
+    # print is still writing, or has yet to write, when the reader leaves
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gha.cli", "--f", "h^2", "nf", "2^300000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,
+    )
+    assert proc.stdout.read(60)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_deep_nesting_is_syntax_error(capsys):

@@ -337,6 +337,18 @@ def test_context_sigma_cap_is_prospective():
     assert ctx.sigma_h(2) == parse_poly("h^16")
 
 
+def test_context_sigma_rejects_negative_powers():
+    # as sigma_power_h does: a negative index must not read the tower from its end
+    ctx = ctx_for("h^2 + 1")
+    ctx.sigma_h(3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ctx.sigma_h(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ctx.sigma(parse_poly("h^2"), -2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sigma_power_h(ctx.f, -1)
+
+
 def test_linear_f_high_powers_need_no_recursion():
     ctx = ctx_for("2h")
     x, y, _, _ = generators(ctx)

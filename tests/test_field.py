@@ -1,8 +1,11 @@
 """Cyclotomic field arithmetic over exact rationals."""
 
+import contextvars
 import math
 import operator
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -68,6 +71,27 @@ def test_huge_field_index_is_rejected_without_factoring():
 def test_degree_cap_has_one_home():
     assert gha.degree_cap is gha.poly.degree_cap is degree_cap
     assert gha.set_degree_cap is gha.poly.set_degree_cap is set_degree_cap
+
+
+def test_degree_cap_set_in_a_copied_context_stays_there():
+    before = degree_cap()
+
+    def capped():
+        set_degree_cap(16)
+        return degree_cap()
+
+    assert contextvars.copy_context().run(capped) == 16
+    assert degree_cap() == before
+
+
+def test_a_new_thread_starts_at_the_default_cap():
+    # threads start in a new context unless the interpreter copies the caller's into them
+    set_degree_cap(16)
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(degree_cap()))
+    thread.start()
+    thread.join()
+    assert seen == [16 if getattr(sys.flags, "thread_inherit_context", False) else 100_000]
 
 
 KNOWN_CYCLOTOMICS = {
