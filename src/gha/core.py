@@ -12,6 +12,11 @@ y^k*g(h) = sigma^k(g)*y^k together with the rewrite
 
 whose iterates (the normal forms of y^k x^j) are memoized per context,
 together with sigma^k(h), sigma^k(g) and z^k.
+
+A product works on the kernel rows of field: it multiplies coefficient
+rows with field._mul, adds the contributions to each output term on
+integer rows with field._add, and brings each sum to canonical form once,
+as a Poly.  The table of y^k x^j and sigma on H_0 sum the same way.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import FieldMismatch, UnsupportedCase
-from .field import FieldDesc, FieldElement, _int_text, check_degree, power
+from .field import FieldDesc, FieldElement, _add, _int_text, _mul, _trim, check_degree, power
 from .poly import Poly, _sigma_tower
 from .poly import sigma_apply  # noqa: F401  (bench/layers.py rebinds core.sigma_apply by name)
 
@@ -35,10 +40,10 @@ class Context:
         self.f = f
         self.field = f.field
         self.n = int(f.degree) if not f.is_zero else 0
-        self._sigma_h: list[Poly] = [Poly.gen(f.field), f]  # sigma^k(h) at index k
-        self._sigma: dict[tuple[Poly, int], Poly] = {}  # (g, k) -> sigma^k(g)
+        self._sigma_h: dict[int, Poly] = {0: Poly.gen(f.field), 1: f}  # k -> sigma^k(h)
+        self._sigma: dict[tuple, Poly] = {}  # (g.num, g.den, k) -> sigma^k(g); ints hash in C
         self._yx: dict[tuple[int, int], "AlgebraElement"] = {}  # (k, j) -> y^k x^j
-        self._z: list["AlgebraElement"] = [AlgebraElement.one(self)]  # z^k at index k
+        self._z: dict[int, "AlgebraElement"] = {0: AlgebraElement.one(self)}  # k -> z^k
 
     def scalar(self, value) -> FieldElement:
         """Coerce an int, Fraction or embeddable FieldElement into the field."""
@@ -54,17 +59,20 @@ class Context:
         """sigma^k(g) = g(sigma^k(h))."""
         if k == 0 or g.degree <= 0:
             return g
-        memo = self._sigma
-        out = memo.get((g, k))
+        if g.field is not self.field and g.field != self.field:  # the memo key leaves out the field
+            raise FieldMismatch(f"cannot combine {g.field} with {self.field}")
+        key = (g.num, g.den, k)
+        out = self._sigma.get(key)
         if out is None:
-            out = memo[(g, k)] = g.compose(self.sigma_h(k))
+            out = self._sigma[key] = g.compose(self.sigma_h(k))
         return out
 
     def z_power(self, k: int) -> "AlgebraElement":
-        """z^k for the central element z = x*y - h."""
+        """z^k for the central element z = x*y - h; the first power stored at an index wins."""
         powers = self._z
-        while len(powers) <= k:
-            powers.append(multiply(powers[-1], generators(self).z))
+        for m in range(len(powers), k + 1):  # indices 0 .. len - 1 are all filled
+            if m not in powers:
+                powers.setdefault(m, multiply(powers[m - 1], generators(self).z))
         return powers[k]
 
     def embed(self, target: FieldDesc) -> "Context":
@@ -104,6 +112,14 @@ class AlgebraElement:
         self.terms = clean
 
     # --- construction ---------------------------------------------------
+    @classmethod
+    def _of(cls, ctx: Context, terms: dict) -> "AlgebraElement":
+        """An element from terms that are already nonzero Polys over ctx.field, unchecked."""
+        out = cls.__new__(cls)
+        out.ctx = ctx
+        out.terms = terms
+        return out
+
     @classmethod
     def zero(cls, ctx: Context) -> "AlgebraElement":
         return cls(ctx)
@@ -163,13 +179,14 @@ class AlgebraElement:
             return NotImplemented
         out = dict(self.terms)
         for key, g in o.terms.items():
-            _add_term(out, key[0], key[1], g)
-        return AlgebraElement(self.ctx, out)
+            cur = out.get(key)
+            out[key] = g if cur is None else cur + g
+        return AlgebraElement._of(self.ctx, {key: g for key, g in out.items() if g.num})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.ctx, {key: -g for key, g in self.terms.items()})
+        return AlgebraElement._of(self.ctx, {key: -g for key, g in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -242,9 +259,34 @@ class AlgebraElement:
         return f"<{self.to_text()}>"
 
 
-def _add_term(out: dict, i: int, k: int, g: Poly) -> None:
-    cur = out.get((i, k))
-    out[(i, k)] = g if cur is None else cur + g
+def _add_row(sums: dict, key: tuple[int, int], num, den: int) -> None:
+    """Add the kernel pair (num, den) into sums[key], on integer rows."""
+    cur = sums.get(key)
+    sums[key] = (num, den) if cur is None else _add(cur[0], cur[1], num, den)
+
+
+def _collect(ctx: Context, sums: dict) -> "AlgebraElement":
+    """The element whose terms are the row sums, each made a canonical Poly once; zero sums go."""
+    field, terms = ctx.field, {}
+    for key, (num, den) in sums.items():
+        g = Poly._from_ints(field, num, den)
+        if g.num:
+            terms[key] = g
+    return AlgebraElement._of(ctx, terms)
+
+
+def _times(a, b, field: FieldDesc) -> list[int]:
+    """The product rows of the row lists a and b, the degree cap checked before it is formed."""
+    phi = field.degree
+    check_degree((len(a) + len(b)) // phi - 2)
+    return _mul(a, b, field)
+
+
+def _tower_gap(ctx: Context, top: int, bottom: int) -> tuple[list[int], int]:
+    """sigma^top(h) - sigma^bottom(h) as a trimmed kernel pair."""
+    hi, lo = ctx.sigma_h(top), ctx.sigma_h(bottom)
+    num, den = _add(hi.num, hi.den, [-v for v in lo.num], lo.den)
+    return _trim(num, ctx.field.degree), den
 
 
 def generators(ctx: Context) -> Generators:
@@ -265,8 +307,9 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
     y^k x^j = (y^(k-1) x^j) y + (y^(k-1) x^(j-1)) (sigma^j(h) - h), filled
     in row by row from k = 1, so that a large k needs no deep recursion.
     The second product is read from the sigma^k(h) tower term by term, with
-    no composition.  multiply has checked the degree cap for (k, j), that is
-    n^(k+j-1) >= n^(c+q) for every tower entry read, before the call.
+    no composition, and summed into the first on kernel rows.  multiply has
+    checked the degree cap for (k, j), that is n^(k+j-1) >= n^(c+q) for every
+    tower entry read, before the call.
     """
     memo = ctx._yx
     cached = memo.get((k, j))
@@ -275,17 +318,18 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
     one = Poly.one(ctx.field)
 
     def known(r: int, c: int) -> AlgebraElement:  # x^c and y^r themselves are not stored
-        return memo[(r, c)] if r and c else AlgebraElement(ctx, {(c, r): one})
+        return memo[(r, c)] if r and c else AlgebraElement._of(ctx, {(c, r): one})
 
     for r in range(1, k + 1):
         for c in range(max(1, j - k + r), j + 1):
             if (r, c) not in memo:
-                out = {(p, q + 1): w for (p, q), w in known(r - 1, c).terms.items()}
+                sums = {(p, q + 1): (w.num, w.den) for (p, q), w in known(r - 1, c).terms.items()}
                 for (p, q), w in known(r - 1, c - 1).terms.items():
                     # x^p w y^q (sigma^c(h) - h) = x^p w sigma^q(sigma^c(h) - h) y^q, and
                     # sigma^q is a ring endomorphism: sigma^q(sigma^c(h) - h) = sigma^(c+q)(h) - sigma^q(h)
-                    _add_term(out, p, q, w * (ctx.sigma_h(c + q) - ctx.sigma_h(q)))
-                memo[(r, c)] = AlgebraElement(ctx, out)
+                    gap, den = _tower_gap(ctx, c + q, q)
+                    _add_row(sums, (p, q), _times(w.num, gap, ctx.field), w.den * den)
+                memo[(r, c)] = _collect(ctx, sums)
     return known(k, j)
 
 
@@ -296,33 +340,57 @@ def _check_product(n: int, top_k: int, top_j: int) -> None:
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Product in H(f), term by term.
+    """Product in H(f), on kernel rows.
 
-    (x^i g y^k)(x^j gh y^l) is immediate when k = 0 or j = 0; otherwise
-    the memoized normal form of y^k x^j is spliced in the middle.  Its
-    x^(j-1) y^(k-1) term has degree n^(k+j-1) exactly (n > 1), so the cap is
-    checked once, for the largest k and j, before any pair is built.
+    (x^i g y^k)(x^j g' y^l) = sum over the terms x^p w y^q of y^k x^j of
+    x^(i+p) sigma^p(g) w sigma^q(g') y^(q+l), with y^k x^j = x^j y^k when
+    k = 0 or j = 0 and the memoized normal form otherwise.  The right
+    factor's terms are grouped by j.  For each j, every left factor
+    sigma^p(g) w is formed once, and the left factors are summed on integer
+    rows by (i + p, q): each sum meets the same sigma^q(g') of every right
+    term with that j, so it is multiplied by each of them once.  Each
+    sigma^p(g) and sigma^q(g') is looked up once per product.  The
+    contributions to an output term are summed on integer rows and made a
+    canonical Poly once.  The x^(j-1) y^(k-1) term of y^k x^j has degree
+    n^(k+j-1) exactly (n > 1), so the cap is checked once, for the largest
+    k and j, before any pair is built, and again for every row product.
     """
-    if a.ctx != b.ctx:
-        raise FieldMismatch("elements live over different contexts")
     ctx = a.ctx
+    if b.ctx is not ctx and b.ctx != ctx:
+        raise FieldMismatch("elements live over different contexts")
     _check_product(ctx.n, max(map(itemgetter(1), a.terms), default=0),
                    max(map(itemgetter(0), b.terms), default=0))
-    sigma = ctx.sigma
-    out: dict[tuple[int, int], Poly] = {}
-    for (i, k), g in a.terms.items():
-        for (j, l), gh in b.terms.items():
-            if k == 0:
-                _add_term(out, i + j, l, sigma(g, j) * gh)
-            elif j == 0:
-                _add_term(out, i, k + l, g * sigma(gh, k))
-            else:
-                mid = _y_pow_x_pow(ctx, k, j)
-                for (p, q), w in mid.terms.items():
-                    # x^i g (x^p w y^q) gh y^l = x^(i+p) sigma^p(g) w sigma^q(gh) y^(q+l)
-                    left = sigma(g, p) * w
-                    _add_term(out, i + p, q + l, left * sigma(gh, q))
-    return AlgebraElement(ctx, out)
+    field, phi, sigma = ctx.field, ctx.field.degree, ctx.sigma
+    unit = (1,) + (0,) * (phi - 1)  # the rows of the Poly 1
+    by_j: dict[int, list[tuple[int, Poly]]] = {}  # j -> [(l, g')]
+    for (j, l), gh in b.terms.items():
+        by_j.setdefault(j, []).append((l, gh))
+    left: dict[tuple[int, int, int], Poly] = {}  # (i, k, p) -> sigma^p(g)
+    right: dict[tuple[int, int, int], Poly] = {}  # (j, l, q) -> sigma^q(g')
+    sums: dict[tuple[int, int], tuple] = {}
+    for j, column in by_j.items():
+        lefts: dict[tuple[int, int], tuple] = {}  # (i + p, q) -> sum of sigma^p(g) w
+        for (i, k), g in a.terms.items():
+            # y^k x^j; with k = 0 or j = 0 it is x^j y^k, and None stands for its coefficient 1
+            mid = _y_pow_x_pow(ctx, k, j).terms if k and j else {(j, k): None}
+            for (p, q), w in mid.items():
+                sg = left.get((i, k, p)) if p else g
+                if sg is None:
+                    sg = left[(i, k, p)] = sigma(g, p)
+                if w is None or (w.den == 1 and w.num == unit):
+                    _add_row(lefts, (i + p, q), sg.num, sg.den)
+                else:
+                    _add_row(lefts, (i + p, q), _times(sg.num, w.num, field), sg.den * w.den)
+        for (s, q), (lnum, lden) in lefts.items():
+            lnum = _trim(lnum, phi)
+            if not lnum:
+                continue
+            for l, gh in column:
+                sgh = right.get((j, l, q)) if q else gh
+                if sgh is None:
+                    sgh = right[(j, l, q)] = sigma(gh, q)
+                _add_row(sums, (s, q + l), _times(lnum, sgh.num, field), lden * sgh.den)
+    return _collect(ctx, sums)
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -344,15 +412,16 @@ def sigma_h0(theta: AlgebraElement) -> AlgebraElement:
     characterized by theta * x = x * sigma(theta) and y * theta = sigma(theta) * y.
     """
     ctx = theta.ctx
-    out: dict[tuple[int, int], Poly] = {}
+    sums: dict[tuple[int, int], tuple] = {}
     for (i, k), g in theta.terms.items():
         if i != k:
             raise UnsupportedCase("sigma is defined only on the degree-0 subalgebra")
-        _add_term(out, k, k, ctx.sigma(g, 1))
+        sg = ctx.sigma(g, 1)
+        _add_row(sums, (k, k), sg.num, sg.den)
         if k:
-            corr = (ctx.sigma_h(k) - Poly.gen(ctx.field)) * g
-            _add_term(out, k - 1, k - 1, corr)
-    return AlgebraElement(ctx, out)
+            gap, den = _tower_gap(ctx, k, 0)
+            _add_row(sums, (k - 1, k - 1), _times(gap, g.num, ctx.field), den * g.den)
+    return _collect(ctx, sums)
 
 
 def apply_iota(a: AlgebraElement) -> AlgebraElement:

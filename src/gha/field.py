@@ -195,13 +195,16 @@ def _trim(num: list[int], phi: int) -> list[int]:
 
 
 def _add(a: list[int], da: int, b: list[int], db: int) -> tuple[list[int], int]:
-    """a/da + b/db over the least common denominator, not yet in lowest terms."""
-    den = math.lcm(da, db)
-    a, b = [v * (den // da) for v in a], [v * (den // db) for v in b]
+    """a/da + b/db over the least common denominator, not yet in lowest terms; a new list."""
+    den = da if da == db else math.lcm(da, db)
+    sa, sb = den // da, den // db
     if len(a) < len(b):
-        a, b = b, a
-    a[:len(b)] = [x + y for x, y in zip(a, b)]
-    return a, den
+        a, b, sa, sb = b, a, sb, sa
+    out = list(a) if sa == 1 else [v * sa for v in a]
+    if sb != 1:
+        b = [v * sb for v in b]
+    out[:len(b)] = [x + y for x, y in zip(out, b)]
+    return out, den
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -611,7 +614,11 @@ class FieldElement(_Pair):
                 f"expected {desc.degree} coordinates for {desc}, "
                 f"got {len(coords)}"
             )
-        num, den = _join([((n,), d) for n, d in map(_ratio, coords)])
+        if len(coords) == 1:  # a scalar of Q: its one ratio is the pair
+            n, den = _ratio(coords[0])
+            num = (n,)
+        else:
+            num, den = _join([((n,), d) for n, d in map(_ratio, coords)])
         self.field, self.num, self.den = desc, tuple(num), den  # lowest terms, as each ratio is
 
     _canonical = staticmethod(lambda num, phi: num)  # one row: nothing to trim

@@ -40,7 +40,8 @@ class Poly(_Pair):
         rows = [c if isinstance(c, FieldElement) else FieldElement.rational(c, field)
                 for c in coeffs]
         for c in rows:
-            if c.field != field:
+            # identity first: FieldDesc.__eq__ is a Python call per coefficient
+            if c.field is not field and c.field != field:
                 raise FieldMismatch(f"coefficient in {c.field}, expected {field}")
         self._set(field, *_join([(c.num, c.den) for c in rows]))
 
@@ -225,21 +226,30 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return p.monic()
 
 
-def _sigma_tower(tower: list[Poly], k: int) -> Poly:
-    """sigma^k(h) from tower = [h, f, f(f), ...], grown in place, the cap checked first."""
+def _sigma_tower(tower: dict[int, Poly], k: int) -> Poly:
+    """sigma^k(h) from tower = {0: h, 1: f, 2: f(f), ...}, grown in place, the cap checked first.
+
+    Each iterate goes in at its own index by setdefault, one index at a time,
+    so threads that grow one tower at once may compute an iterate twice, but
+    the first value stored is the one every reader gets.
+    """
     if k < 0:
         raise ValueError("sigma power must be nonnegative")
+    out = tower.get(k)
+    if out is not None:
+        return out
     f = tower[1]
-    if k >= len(tower) and f.degree > 1:
+    if f.degree > 1:
         check_degree(f.degree, k)
-    while len(tower) <= k:
-        tower.append(f.compose(tower[-1]))
+    for m in range(len(tower), k + 1):  # indices 0 .. len - 1 are all filled
+        if m not in tower:
+            tower.setdefault(m, f.compose(tower[m - 1]))
     return tower[k]
 
 
 def sigma_power_h(f: Poly, k: int) -> Poly:
     """sigma^k(h) for sigma(h) = f(h), sigma^0(h) = h; uncached (Context.sigma_h memoizes)."""
-    return _sigma_tower([Poly.gen(f.field), f], k)
+    return _sigma_tower({0: Poly.gen(f.field), 1: f}, k)
 
 
 def sigma_apply(g: Poly, f: Poly, k: int) -> Poly:

@@ -496,6 +496,58 @@ GOLDEN = [
     (["--f", "h^3+h^2", "gradings"],
      "(l, -l, 0) for every integer l",
      '{"generator": [1, -1, 0], "all_integer_multiples": true}'),
+    # 3-term operands: right-hand terms that share an x-exponent, y^k x^j spliced in
+    (["--f", "h^3+h", "nf", "(x*h + 2*y - 1/3)*(x*y + h^2*x - 2*y)"],
+     "(2*h^9 + 4*h^7 + 2*h^5) + (2*h^3 + 2/3) * y^1 + (-4) * y^2 + x^1 * (-1/3*h^6 - 2/3*h^4 -"
+     " 1/3*h^2) + x^1 * (2*h^18 + 12*h^16 + 30*h^14 + 44*h^12 + 46*h^10 + 36*h^8 + 20*h^6 + 8*h^4"
+     " + 2*h^2 - 2*h - 1/3) * y^1 + x^1 * (2) * y^2 + x^2 * (h^9 + 3*h^7 + 3*h^5 + h^3) + x^2 *"
+     " (h^3 + h) * y^1",
+     '{"f": ["0", "1", "0", "1"], "field": "Q", "terms": [{"i": 0, "k": 0, "poly": ["0", "0", "0",'
+     ' "0", "0", "2", "0", "4", "0", "2"]}, {"i": 0, "k": 1, "poly": ["2/3", "0", "0", "2"]},'
+     ' {"i": 0, "k": 2, "poly": ["-4"]}, {"i": 1, "k": 0, "poly": ["0", "0", "-1/3", "0", "-2/3",'
+     ' "0", "-1/3"]}, {"i": 1, "k": 1, "poly": ["-1/3", "-2", "2", "0", "8", "0", "20", "0", "36",'
+     ' "0", "46", "0", "44", "0", "30", "0", "12", "0", "2"]}, {"i": 1, "k": 2, "poly": ["2"]},'
+     ' {"i": 2, "k": 0, "poly": ["0", "0", "0", "1", "0", "3", "0", "3", "0", "1"]}, {"i": 2, "k":'
+     ' 1, "poly": ["0", "1", "0", "1"]}]}'),
+    (["--f", "h^3+h", "commutator", "x*h + 2*y - 1/3", "x*y + h^2*x - 2*y"],
+     "(2*h^9 + 4*h^7 + 2*h^5 + 2*h^4) + (2*h^3) * y^1 + x^1 * (-h^4) + x^1 * (2*h^18 + 12*h^16 +"
+     " 30*h^14 + 44*h^12 + 46*h^10 + 36*h^8 + 18*h^6 + 4*h^4 + 2*h^3) * y^1 + x^2 * (-h^19 -"
+     " 6*h^17 - 15*h^15 - 22*h^13 - 23*h^11 - 17*h^9 - 7*h^7 - h^5)",
+     '{"f": ["0", "1", "0", "1"], "field": "Q", "terms": [{"i": 0, "k": 0, "poly": ["0", "0", "0",'
+     ' "0", "2", "2", "0", "4", "0", "2"]}, {"i": 0, "k": 1, "poly": ["0", "0", "0", "2"]}, {"i":'
+     ' 1, "k": 0, "poly": ["0", "0", "0", "0", "-1"]}, {"i": 1, "k": 1, "poly": ["0", "0", "0",'
+     ' "2", "4", "0", "18", "0", "36", "0", "46", "0", "44", "0", "30", "0", "12", "0", "2"]},'
+     ' {"i": 2, "k": 0, "poly": ["0", "0", "0", "0", "0", "-1", "0", "-7", "0", "-17", "0", "-23",'
+     ' "0", "-22", "0", "-15", "0", "-6", "0", "-1"]}]}'),
+    (["--field", "Q(zeta_3)", "--f", "h^3+zeta*h", "nf",
+      "(zeta*x*h + y - 1/2)*(x*y - zeta^2*h*x + 3*y)"],
+     "((zeta + 1)*h^6 + (-zeta - 3)*h^4 + (-zeta + 1)*h^2) + (h^3 + (zeta - 1)*h - 3/2) * y^1 +"
+     " (3) * y^2 + x^1 * ((-1/2*zeta - 1/2)*h^3 + 1/2*h) + x^1 * ((zeta + 1)*h^9 - 3*h^7 -"
+     " 3*zeta*h^5 + zeta*h^3 + 2*zeta*h - 1/2) * y^1 + x^1 * (1) * y^2 + x^2 * (-h^6 - 2*zeta*h^4"
+     " + (zeta + 1)*h^2) + x^2 * (zeta*h^3 + (-zeta - 1)*h) * y^1",
+     '{"f": [["0", "0"], ["0", "1"], ["0", "0"], ["1", "0"]], "field": "Q(zeta_3)", "terms":'
+     ' [{"i": 0, "k": 0, "poly": [["0", "0"], ["0", "0"], ["1", "-1"], ["0", "0"], ["-3", "-1"],'
+     ' ["0", "0"], ["1", "1"]]}, {"i": 0, "k": 1, "poly": [["-3/2", "0"], ["-1", "1"], ["0", "0"],'
+     ' ["1", "0"]]}, {"i": 0, "k": 2, "poly": [["3", "0"]]}, {"i": 1, "k": 0, "poly": [["0", "0"],'
+     ' ["1/2", "0"], ["0", "0"], ["-1/2", "-1/2"]]}, {"i": 1, "k": 1, "poly": [["-1/2", "0"],'
+     ' ["0", "2"], ["0", "0"], ["0", "1"], ["0", "0"], ["0", "-3"], ["0", "0"], ["-3", "0"], ["0",'
+     ' "0"], ["1", "1"]]}, {"i": 1, "k": 2, "poly": [["1", "0"]]}, {"i": 2, "k": 0, "poly": [["0",'
+     ' "0"], ["0", "0"], ["1", "1"], ["0", "0"], ["0", "-2"], ["0", "0"], ["-1", "0"]]}, {"i": 2,'
+     ' "k": 1, "poly": [["0", "0"], ["-1", "-1"], ["0", "0"], ["0", "1"]]}]}'),
+    (["--field", "Q(zeta_3)", "--f", "h^3+zeta*h", "commutator",
+      "zeta*x*h + y - 1/2", "x*y - zeta^2*h*x + 3*y"],
+     "((zeta + 1)*h^6 + (-4*zeta - 3)*h^4 + (5*zeta + 4)*h^2) + (h^3 + (zeta - 1)*h) * y^1 + x^1 *"
+     " (-zeta*h^4 + (2*zeta + 1)*h^2) + x^1 * ((zeta + 1)*h^9 - 3*h^7 - 3*zeta*h^5 + (-3*zeta -"
+     " 1)*h^3 + (5*zeta + 4)*h) * y^1 + x^2 * (h^10 + 3*zeta*h^8 + (-3*zeta - 4)*h^6 + (-zeta +"
+     " 1)*h^4)",
+     '{"f": [["0", "0"], ["0", "1"], ["0", "0"], ["1", "0"]], "field": "Q(zeta_3)", "terms":'
+     ' [{"i": 0, "k": 0, "poly": [["0", "0"], ["0", "0"], ["4", "5"], ["0", "0"], ["-3", "-4"],'
+     ' ["0", "0"], ["1", "1"]]}, {"i": 0, "k": 1, "poly": [["0", "0"], ["-1", "1"], ["0", "0"],'
+     ' ["1", "0"]]}, {"i": 1, "k": 0, "poly": [["0", "0"], ["0", "0"], ["1", "2"], ["0", "0"],'
+     ' ["0", "-1"]]}, {"i": 1, "k": 1, "poly": [["0", "0"], ["4", "5"], ["0", "0"], ["-1", "-3"],'
+     ' ["0", "0"], ["0", "-3"], ["0", "0"], ["-3", "0"], ["0", "0"], ["1", "1"]]}, {"i": 2, "k":'
+     ' 0, "poly": [["0", "0"], ["0", "0"], ["0", "0"], ["0", "0"], ["1", "-1"], ["0", "0"], ["-4",'
+     ' "-3"], ["0", "0"], ["0", "3"], ["0", "0"], ["1", "0"]]}]}'),
 ]
 
 

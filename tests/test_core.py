@@ -3,6 +3,7 @@
 import gc
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from gha.parser import parse_element, parse_poly
 from gha.poly import Poly, set_degree_cap, sigma_power_h
 
 from .free_oracle import oracle_product
-from .helpers import random_diagonal_element, random_element, random_scalar
+from .helpers import random_diagonal_element, random_element, random_poly, random_scalar
 
 
 def ctx_for(ftxt: str, field=None) -> Context:
@@ -414,3 +415,110 @@ def test_power_at_the_cap_is_computed(monkeypatch):
     with pytest.raises(DegreeCapExceeded, match=r"^result degree 2\^15 exceeds the cap 128$"):
         s ** 16
     assert calls == []
+
+
+# the support of every operand of the nf-tower benchmark: right-hand terms share x-exponents
+TOWER_SUPPORT = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
+
+
+def tower_element(rng: random.Random, ctx: Context) -> AlgebraElement:
+    return AlgebraElement(ctx, {key: random_poly(rng, ctx.field, 1, 3) for key in TOWER_SUPPORT})
+
+
+TOWER_CASES = [("h^3 + h", None), ("h^3 + zeta*h", FieldDesc(3))]
+
+
+@pytest.mark.parametrize("ftxt,field", TOWER_CASES)
+def test_multiply_on_the_tower_support_matches_free_rewriter(ftxt, field):
+    rng = random.Random(7)
+    ctx = ctx_for(ftxt, field)
+    for _ in range(4):
+        a, b = tower_element(rng, ctx), tower_element(rng, ctx)
+        assert multiply(a, b) == oracle_product(a, b)
+
+
+@pytest.mark.parametrize("ftxt,field", TOWER_CASES)
+def test_warm_products_on_the_tower_support_equal_cold_ones(ftxt, field):
+    rng = random.Random(8)
+    warm = ctx_for(ftxt, field)
+    operands = [(tower_element(rng, warm), tower_element(rng, warm)) for _ in range(6)]
+    products = [multiply(a, b) for a, b in operands]  # each later product reads a warmer memo
+    for (a, b), product in zip(operands, products):
+        cold = ctx_for(ftxt, field)
+        ac, bc = AlgebraElement(cold, a.terms), AlgebraElement(cold, b.terms)
+        assert multiply(ac, bc).terms == product.terms == multiply(a, b).terms
+
+
+def test_warm_product_cost_is_pinned(monkeypatch):
+    # counts of kernel products and sigma lookups, not a clock: term by term, one product on
+    # this support made 86 of each; each left factor and image once per product makes 49 and 24
+    import gha.core
+
+    rng = random.Random(9)
+    ctx = ctx_for("h^3 + h")
+    a, b = tower_element(rng, ctx), tower_element(rng, ctx)
+    expected = multiply(a, b)  # warms the memo
+    counts = {"_mul": 0, "sigma": 0}
+    mul, sigma = gha.core._mul, Context.sigma
+
+    def counted_mul(*args):
+        counts["_mul"] += 1
+        return mul(*args)
+
+    def counted_sigma(self, g, k):
+        counts["sigma"] += 1
+        return sigma(self, g, k)
+
+    monkeypatch.setattr(gha.core, "_mul", counted_mul)
+    monkeypatch.setattr(Context, "sigma", counted_sigma)
+    assert multiply(a, b) == expected
+    assert counts["_mul"] <= 49 and counts["sigma"] <= 24, counts
+
+
+def _race(work, trials: int = 10, threads: int = 4) -> list:
+    """work(shared) from several threads at once, switching as often as the interpreter allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results, errors = [], []
+
+        def guarded(shared):
+            try:
+                work(shared)
+            except Exception as exc:  # a thread's exception would otherwise only be printed
+                errors.append(exc)
+
+        for _ in range(trials):
+            shared = ctx_for("h^3 + h")
+            pool = [threading.Thread(target=guarded, args=(shared,)) for _ in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            results.append(shared)
+        assert errors == []
+        return results
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_sharing_a_context_store_the_right_sigma_tower():
+    for ctx in _race(lambda shared: shared.sigma_h(7)):
+        assert [ctx.sigma_h(k).degree for k in range(8)] == [3 ** k for k in range(8)]
+        assert ctx.sigma_h(7) == sigma_power_h(ctx.f, 7)
+
+
+def test_threads_sharing_a_context_store_the_right_powers_of_z():
+    for ctx in _race(lambda shared: shared.z_power(6)):
+        z = generators(ctx).z
+        for k in range(7):
+            assert ctx.z_power(k) == z ** k
+
+
+def test_context_sigma_refuses_a_polynomial_of_another_field():
+    # the memo is keyed by a polynomial's rows; Q(zeta_2) has the same rows as Q
+    ctx = ctx_for("h^2 + 1")
+    ctx.sigma(parse_poly("h^2 - 3*h"), 2)
+    with pytest.raises(FieldMismatch):
+        ctx.sigma(parse_poly("h^2 - 3*h", FieldDesc(2)), 2)

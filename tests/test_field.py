@@ -274,6 +274,20 @@ def test_constructors_take_what_fraction_takes():
         FieldElement(Q4, ("1/2", "three"))
 
 
+def test_construction_keeps_its_checks():
+    # a scalar of Q reads its one ratio as the pair; Poly compares fields by identity first
+    e = FieldElement(RATIONALS, ("-10/4",))
+    assert (e.num, e.den) == ((-5,), 2) and e == Fraction(-5, 2)
+    with pytest.raises(ValueError, match="^expected 1 coordinates for Q, got 2$"):
+        FieldElement(RATIONALS, (1, 2))
+    with pytest.raises(ValueError, match=r"^expected 2 coordinates for Q\(zeta_3\), got 1$"):
+        FieldElement(Q3, (1,))
+    with pytest.raises(FieldMismatch, match=r"^coefficient in Q\(zeta_4\), expected Q\(zeta_3\)$"):
+        Poly(Q3, (1, FieldElement.zeta(Q4)))
+    twin = FieldDesc(4)  # equal to Q4, another object
+    assert Poly(twin, (FieldElement.zeta(Q4), 2)) == Poly(Q4, (FieldElement.zeta(Q4), 2))
+
+
 def test_display_forms():
     z = FieldElement.zeta(Q6)
     e = z * 2 - 1 + z * z  # zeta^2 reduces to zeta - 1 in Q(zeta_6)
