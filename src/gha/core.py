@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import FieldMismatch, UnsupportedCase
 from .field import FieldDesc, FieldElement, _add, _int_text, _mul, _trim, check_degree, power
-from .poly import Poly, _sigma_tower
+from .poly import Poly, _fill, _sigma_tower
 from .poly import sigma_apply  # noqa: F401  (bench/layers.py rebinds core.sigma_apply by name)
 
 
@@ -68,12 +68,12 @@ class Context:
         return out
 
     def z_power(self, k: int) -> "AlgebraElement":
-        """z^k for the central element z = x*y - h; the first power stored at an index wins."""
-        powers = self._z
-        for m in range(len(powers), k + 1):  # indices 0 .. len - 1 are all filled
-            if m not in powers:
-                powers.setdefault(m, multiply(powers[m - 1], generators(self).z))
-        return powers[k]
+        """z^k for the central element z = x*y - h, grown by poly._fill."""
+        out = self._z.get(k)
+        if out is None:
+            z = generators(self).z
+            out = _fill(self._z, k, lambda below: multiply(below, z))
+        return out
 
     def embed(self, target: FieldDesc) -> "Context":
         return Context(self.f.embed(target))
@@ -275,13 +275,6 @@ def _collect(ctx: Context, sums: dict) -> "AlgebraElement":
     return AlgebraElement._of(ctx, terms)
 
 
-def _times(a, b, field: FieldDesc) -> list[int]:
-    """The product rows of the row lists a and b, the degree cap checked before it is formed."""
-    phi = field.degree
-    check_degree((len(a) + len(b)) // phi - 2)
-    return _mul(a, b, field)
-
-
 def _tower_gap(ctx: Context, top: int, bottom: int) -> tuple[list[int], int]:
     """sigma^top(h) - sigma^bottom(h) as a trimmed kernel pair."""
     hi, lo = ctx.sigma_h(top), ctx.sigma_h(bottom)
@@ -328,7 +321,7 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
                     # x^p w y^q (sigma^c(h) - h) = x^p w sigma^q(sigma^c(h) - h) y^q, and
                     # sigma^q is a ring endomorphism: sigma^q(sigma^c(h) - h) = sigma^(c+q)(h) - sigma^q(h)
                     gap, den = _tower_gap(ctx, c + q, q)
-                    _add_row(sums, (p, q), _times(w.num, gap, ctx.field), w.den * den)
+                    _add_row(sums, (p, q), _mul(w.num, gap, ctx.field), w.den * den)
                 memo[(r, c)] = _collect(ctx, sums)
     return known(k, j)
 
@@ -353,7 +346,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     contributions to an output term are summed on integer rows and made a
     canonical Poly once.  The x^(j-1) y^(k-1) term of y^k x^j has degree
     n^(k+j-1) exactly (n > 1), so the cap is checked once, for the largest
-    k and j, before any pair is built, and again for every row product.
+    k and j, before any pair is built; field._mul checks every row product.
     """
     ctx = a.ctx
     if b.ctx is not ctx and b.ctx != ctx:
@@ -380,7 +373,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 if w is None or (w.den == 1 and w.num == unit):
                     _add_row(lefts, (i + p, q), sg.num, sg.den)
                 else:
-                    _add_row(lefts, (i + p, q), _times(sg.num, w.num, field), sg.den * w.den)
+                    _add_row(lefts, (i + p, q), _mul(sg.num, w.num, field), sg.den * w.den)
         for (s, q), (lnum, lden) in lefts.items():
             lnum = _trim(lnum, phi)
             if not lnum:
@@ -389,7 +382,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 sgh = right.get((j, l, q)) if q else gh
                 if sgh is None:
                     sgh = right[(j, l, q)] = sigma(gh, q)
-                _add_row(sums, (s, q + l), _times(lnum, sgh.num, field), lden * sgh.den)
+                _add_row(sums, (s, q + l), _mul(lnum, sgh.num, field), lden * sgh.den)
     return _collect(ctx, sums)
 
 
@@ -420,7 +413,7 @@ def sigma_h0(theta: AlgebraElement) -> AlgebraElement:
         _add_row(sums, (k, k), sg.num, sg.den)
         if k:
             gap, den = _tower_gap(ctx, k, 0)
-            _add_row(sums, (k - 1, k - 1), _times(gap, g.num, ctx.field), den * g.den)
+            _add_row(sums, (k - 1, k - 1), _mul(gap, g.num, ctx.field), den * g.den)
     return _collect(ctx, sums)
 
 

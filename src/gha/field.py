@@ -25,7 +25,7 @@ schoolbook sweep.
 
 The degree cap lives here too, in a context variable, as decimal's context
 does.  It bounds the field degree phi(m), checked when FieldDesc.degree is
-first computed, and through check_degree the result degrees of poly and core.
+first computed, and in _mul the degree of every product of coefficient rows.
 
 _Value, the base of FieldDesc and of the package's other small immutable
 records (the parser's tree nodes, the structure and morphism reports), is
@@ -355,10 +355,12 @@ def _mul(a: list[int], b: list[int], field: "FieldDesc") -> list[int]:
     Rows are spread to stride ha + hb + 1 first, ha and hb the highest zeta
     powers present in a and b, so that the powers of a product of two rows
     never reach the next row; only a stride above phi needs reducing.
+    DegreeCapExceeded if the product's degree would pass the cap.
     """
     if not a or not b:
         return []
     phi = field.degree
+    check_degree((len(a) + len(b)) // phi - 2)
     if phi == 1:
         return _convolve(a, b)
     stride = max(_top(a, phi) + _top(b, phi) + 1, 1)

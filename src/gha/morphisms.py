@@ -27,7 +27,7 @@ from .core import AlgebraElement, Context, generators, homogeneous_parts
 from .errors import FieldMismatch, UnsupportedCase
 from .field import FieldDesc, FieldElement, _setattr, _Value
 from .poly import Poly
-from .structure import shift_polynomial
+from .structure import _support, shift_polynomial
 
 
 class DerivationSpec(_Value):
@@ -204,7 +204,7 @@ def automorphism_group(ctx: Context) -> AutGroup:
     n = ctx.n
     lead, sub = ctx.f.leading_coeff, ctx.f.coeff(n - 1)
     shifted = shift_polynomial(ctx.f, -sub / (lead * n))
-    k = math.gcd(*(i - 1 for i, v in enumerate(shifted.coeffs) if v))
+    k = math.gcd(*(i - 1 for i in _support(shifted)))
     desc = ctx.field if k <= 2 else ctx.field.join(FieldDesc(k))
     a = _root_of_unity(desc, k)
     b = (a - 1) * sub.embed(desc) / (lead.embed(desc) * n)

@@ -96,15 +96,6 @@ class Poly(_Pair):
         return FieldElement.zero(self.field)
 
     # --- ring operations --------------------------------------------------
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        check_degree(self.degree + o.degree)
-        return Poly._from_ints(self.field, _mul(self.num, o.num, self.field), self.den * o.den)
-
-    __rmul__ = __mul__
-
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
@@ -226,13 +217,21 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return p.monic()
 
 
-def _sigma_tower(tower: dict[int, Poly], k: int) -> Poly:
-    """sigma^k(h) from tower = {0: h, 1: f, 2: f(f), ...}, grown in place, the cap checked first.
+def _fill(table: dict, k: int, step):
+    """table[k] of a memo {0: v_0, 1: v_1, ...} grown in place by v_m = step(v_(m-1)).
 
-    Each iterate goes in at its own index by setdefault, one index at a time,
-    so threads that grow one tower at once may compute an iterate twice, but
+    Each value goes in at its own index by setdefault, one index at a time,
+    so threads that grow one table at once may compute a value twice, but
     the first value stored is the one every reader gets.
     """
+    for m in range(len(table), k + 1):  # indices 0 .. len - 1 are all filled
+        if m not in table:
+            table.setdefault(m, step(table[m - 1]))
+    return table[k]
+
+
+def _sigma_tower(tower: dict[int, Poly], k: int) -> Poly:
+    """sigma^k(h) from tower = {0: h, 1: f, 2: f(f), ...}, grown by _fill, the cap checked first."""
     if k < 0:
         raise ValueError("sigma power must be nonnegative")
     out = tower.get(k)
@@ -241,10 +240,7 @@ def _sigma_tower(tower: dict[int, Poly], k: int) -> Poly:
     f = tower[1]
     if f.degree > 1:
         check_degree(f.degree, k)
-    for m in range(len(tower), k + 1):  # indices 0 .. len - 1 are all filled
-        if m not in tower:
-            tower.setdefault(m, f.compose(tower[m - 1]))
-    return tower[k]
+    return _fill(tower, k, f.compose)
 
 
 def sigma_power_h(f: Poly, k: int) -> Poly:

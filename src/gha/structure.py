@@ -106,6 +106,23 @@ def shift_polynomial(f: Poly, alpha: FieldElement) -> Poly:
     return f.compose(Poly(f.field, (alpha, 1))) - alpha
 
 
+def _peel(a: AlgebraElement, part) -> dict[int, Poly] | None:
+    """{K: p_K} with a = sum_K p_K(h) z^K, peeled from the top diagonal term; None if part fails.
+
+    a lies in the degree-0 subalgebra.  part(g, K), given the top diagonal
+    coefficient g of what is left, returns p_K, or None when no p_K fits.
+    """
+    ctx, out, rem = a.ctx, {}, a
+    while rem.terms:
+        top = max(i for (i, _) in rem.terms)
+        p_top = part(rem.terms[(top, top)], top)
+        if p_top is None:
+            return None
+        out[top] = p_top
+        rem = rem - multiply(AlgebraElement.from_poly(ctx, p_top), ctx.z_power(top))
+    return out
+
+
 def center_membership(a: AlgebraElement) -> Poly | None:
     """Write a = p(z) if possible; the polynomial p, else None.
 
@@ -118,16 +135,11 @@ def center_membership(a: AlgebraElement) -> Poly | None:
         raise UnsupportedCase("center membership is not computed when deg f = 1")
     if any(i != k for (i, k) in a.terms):
         return None
-    p = Poly.zero(ctx.field)
-    rem = a
-    while rem.terms:
-        top = max(i for (i, _) in rem.terms)
-        g = rem.terms[(top, top)]
-        if g.degree > 0:
-            return None
-        p = p + g * Poly.gen(ctx.field) ** top
-        rem = rem - ctx.z_power(top) * g
-    return p
+    out = _peel(a, lambda g, top: g if g.degree == 0 else None)
+    if out is None:
+        return None
+    h = Poly.gen(ctx.field)
+    return sum((g * h ** k for k, g in out.items()), Poly.zero(ctx.field))
 
 
 def zh_membership(a: AlgebraElement) -> dict[int, Poly] | None:
@@ -142,17 +154,8 @@ def zh_membership(a: AlgebraElement) -> dict[int, Poly] | None:
         raise UnsupportedCase("membership in C[z, h] is decided only for deg f > 1")
     if any(i != k for (i, k) in a.terms):
         raise UnsupportedCase("element is not in the degree-0 subalgebra")
-    out: dict[int, Poly] = {}
-    rem = a
-    while rem.terms:
-        top = max(i for (i, _) in rem.terms)
-        g = rem.terms[(top, top)]
-        p_top = decompose_as_polynomial_in(g, ctx.sigma_h(top))
-        if p_top is None:
-            return None
-        out[top] = p_top
-        rem = rem - multiply(AlgebraElement.from_poly(ctx, p_top), ctx.z_power(top))
-    return {k: out[k] for k in sorted(out)}
+    out = _peel(a, lambda g, top: decompose_as_polynomial_in(g, ctx.sigma_h(top)))
+    return None if out is None else {k: out[k] for k in sorted(out)}
 
 
 class GradingFamily(_Value):
@@ -175,8 +178,10 @@ class GradingFamily(_Value):
         return "(l, -l, 0) for every integer l"
 
 
-def _support(p: Poly) -> set[int]:
-    return {j for j, c in enumerate(p.coeffs) if not c.is_zero}
+def _support(p: Poly) -> list[int]:
+    """The exponents j of the nonzero coefficients of p, ascending, read off its rows."""
+    phi = p.field.degree
+    return [j for j in range(len(p.num) // phi) if any(p.num[j * phi:(j + 1) * phi])]
 
 
 def is_admissible_grading(ctx: Context, triple: tuple[int, int, int]) -> bool:

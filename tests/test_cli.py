@@ -290,14 +290,14 @@ def test_main_exits_quietly_when_the_reader_closes_stdout():
     # print is still writing, or has yet to write, when the reader leaves
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "gha.cli", "--f", "h^2", "nf", "2^300000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,
-    )
-    assert proc.stdout.read(60)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 1
+    ) as proc:  # closes stderr, too, on the way out
+        assert proc.stdout.read(60)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
     assert err == b""
 
 

@@ -516,6 +516,20 @@ def test_threads_sharing_a_context_store_the_right_powers_of_z():
             assert ctx.z_power(k) == z ** k
 
 
+def test_a_warm_power_of_z_builds_no_generators(monkeypatch):
+    import gha.core
+
+    ctx = ctx_for("h^3 + h")
+    expected = ctx.z_power(4)
+    calls = []
+    build = gha.core.generators
+    monkeypatch.setattr(gha.core, "generators", lambda c: calls.append(c) or build(c))
+    assert ctx.z_power(4) == expected
+    assert calls == []
+    ctx.z_power(5)  # a missing power builds them once
+    assert len(calls) == 1
+
+
 def test_context_sigma_refuses_a_polynomial_of_another_field():
     # the memo is keyed by a polynomial's rows; Q(zeta_2) has the same rows as Q
     ctx = ctx_for("h^2 + 1")

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from gha.core import AlgebraElement, Context, multiply
 from gha.errors import DegreeCapExceeded, UnsupportedCase
-from gha.field import RATIONALS, FieldDesc, FieldElement
+from gha.field import RATIONALS, FieldDesc, FieldElement, _mul
 from gha.poly import (
     NEG_INF,
     Poly,
@@ -196,6 +197,26 @@ def test_degree_cap_is_adjustable():
     with pytest.raises(DegreeCapExceeded):
         P("h^5").compose(P("h^5"))
     assert (P("h^8") * P("h^8")).degree == 16
+
+
+def test_the_kernel_checks_every_row_product_against_the_cap():
+    # field._mul holds the one check of a row product; the messages of a
+    # Poly product, a product in H(f) and a composition are pinned here
+    set_degree_cap(10)
+    cap = r"exceeds the cap 10$"
+    with pytest.raises(DegreeCapExceeded, match=r"^result degree 11 " + cap):
+        _mul([1] * 7, [1] * 6, RATIONALS)
+    with pytest.raises(DegreeCapExceeded, match=r"^result degree 11 " + cap):
+        _mul([1, 0] * 7, [0, 1] * 6, FieldDesc(3))
+    assert len(_mul([1] * 6, [1] * 6, RATIONALS)) == 11  # degree 10, at the cap
+    with pytest.raises(DegreeCapExceeded, match=r"^result degree 11 " + cap):
+        P("h^6") * P("h^5")
+    ctx = Context(P("h^3 + h"))
+    a, b = (AlgebraElement.from_poly(ctx, P(t)) for t in ("h^6 + 1", "h^5 - h"))
+    with pytest.raises(DegreeCapExceeded, match=r"^result degree 11 " + cap):
+        multiply(a, b)  # two (0, 0) terms: no y^k x^j check applies
+    with pytest.raises(DegreeCapExceeded, match=r"^result degree 12 " + cap):
+        P("h^4 + h").compose(P("h^3 + 2"))
 
 
 def test_monic_and_leading():

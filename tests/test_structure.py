@@ -157,6 +157,15 @@ def test_center_accepts_constants():
     assert center_membership(AlgebraElement.zero(ctx)).is_zero
 
 
+@pytest.mark.parametrize("ftxt", ["2", "0"])
+def test_center_of_a_constant_f(ftxt):
+    ctx = ctx_for(ftxt)
+    x, y, h, z = generators(ctx)
+    assert center_membership(z * z + 1) == parse_poly("h^2 + 1")
+    assert center_membership(x * y) is None  # z + h: h is left after z is peeled
+    assert center_membership(z * h) is None
+
+
 def test_center_random_roundtrip():
     rng = random.Random(112)
     for ftxt in ("h^2", "h^3+h"):
