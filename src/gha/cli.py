@@ -213,19 +213,14 @@ def _cmd_zh_member(ctx, args):
 
 
 def _cmd_noetherian(ctx, args):
-    reports = noetherian_witness(ctx, args.max_n)
-    # every report holds the same gcd: format it once
+    # the ideal is (f) for every n (see noetherian_witness): one report, its gcd formatted once
+    (r,) = noetherian_witness(ctx, 0)
     if args.json:
-        gcd_json = functools.cache(_poly_json)
-        return {"reports": [
-            {"n": r.n, "gcd": gcd_json(r.generator_gcd), "member": r.is_member}
-            for r in reports
-        ]}
-    gcd_text = functools.cache(Poly.to_text)
-    return "\n".join(
-        f"n={r.n}: gcd = {gcd_text(r.generator_gcd)}, member = {str(r.is_member).lower()}"
-        for r in reports
-    )
+        gcd = _poly_json(r.generator_gcd)
+        return {"reports": [{"n": n, "gcd": gcd, "member": r.is_member}
+                            for n in range(args.max_n + 1)]}
+    tail = f": gcd = {r.generator_gcd.to_text()}, member = {str(r.is_member).lower()}"
+    return "\n".join(f"n={n}{tail}" for n in range(args.max_n + 1))
 
 
 def _cmd_gradings(ctx, args):

@@ -48,7 +48,7 @@ class Context:
     def scalar(self, value) -> FieldElement:
         """Coerce an int, Fraction or embeddable FieldElement into the field."""
         if isinstance(value, FieldElement):
-            return value.embed(self.field) if value.field != self.field else value
+            return value.embed(self.field)
         return FieldElement.rational(value, self.field)
 
     def sigma_h(self, k: int) -> Poly:

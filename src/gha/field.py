@@ -9,7 +9,7 @@ The kernel holds rationals as the pair (num, den): Python ints over one
 positive common denominator, in lowest terms, so equal values are equal
 pairs.  A scalar is one row of phi(m) coordinates; a polynomial is a flat
 tuple of such rows, one per coefficient.  One class, _Pair, builds both
-from kernel results and gives both +, -, *, == and hash; FieldElement and
+from kernel results and gives both +, -, *, ==, hash and embed; FieldElement and
 poly.Poly add only what a scalar or a polynomial has of its own.  Printers
 read the rows and write ints through decimal, which has no digit limit.
 
@@ -40,7 +40,7 @@ import math
 from contextvars import ContextVar
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress, islice
 
 from .errors import DegreeCapExceeded, FieldMismatch, NoEmbedding, UnsupportedCase
@@ -328,7 +328,7 @@ def _reduce(num: list[int], field: "FieldDesc", stride: int) -> list[int]:
     """
     phi = field.degree
     if stride > phi:
-        terms = [(t, c) for t, c in enumerate(_cyclotomic_ints(field.m)[:-1]) if c]
+        terms = [(t, c) for t, c in enumerate(field._cyclotomic[:-1]) if c]
         for e in range(stride - 1, phi - 1, -1):  # a pass writes lower powers only
             for i in range(e, len(num), stride):
                 c = num[i]
@@ -403,7 +403,7 @@ def _inverse(a: list[int], da: int, field: "FieldDesc") -> tuple[list[int], int]
     Keeps r_i = s_i*Phi_m + t_i*a over Q; Phi_m is irreducible, so the loop
     ends at a nonzero constant r_1 and t_1 / r_1 is the inverse.
     """
-    r0, d0 = list(_cyclotomic_ints(field.m)), 1
+    r0, d0 = list(field._cyclotomic), 1
     r1, d1 = _trim(list(a), 1), da
     if not r1:
         raise ZeroDivisionError("inversion of zero field element")
@@ -417,7 +417,6 @@ def _inverse(a: list[int], da: int, field: "FieldDesc") -> tuple[list[int], int]
     return _lowest(num + [0] * (field.degree - len(num)), e1 * r1[0])
 
 
-@lru_cache(maxsize=None)
 def _cyclotomic_ints(m: int) -> tuple[int, ...]:
     """Ascending integer coefficients of Phi_m.
 
@@ -480,9 +479,9 @@ class _Value:
 
 
 class FieldDesc(_Value):
-    """Q (m = 1) or the cyclotomic field Q(zeta_m)."""
+    """Q (m = 1) or the cyclotomic field Q(zeta_m); it holds phi(m) and Phi_m, once computed."""
 
-    __slots__ = ("m", "__dict__")  # the __dict__ holds the cached degree
+    __slots__ = ("m", "__dict__")  # the __dict__ holds the cached degree and Phi_m
     __match_args__ = ("m",)
 
     def __init__(self, m: int = 1):
@@ -512,6 +511,8 @@ class FieldDesc(_Value):
         if phi > cap:
             raise DegreeCapExceeded(f"field degree phi({self.m}) = {phi} exceeds the cap {cap}")
         return phi
+
+    _cyclotomic = cached_property(lambda self: _cyclotomic_ints(self.m))  # Phi_m's ascending ints
 
     def embeds_into(self, other: "FieldDesc") -> bool:
         return other.m % self.m == 0
@@ -595,6 +596,19 @@ class _Pair:
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.field == other.field and self.den == other.den and self.num == other.num
+
+    def embed(self, target: FieldDesc):
+        """Image under zeta_m -> zeta_M^(M/m), for m | M; all rows go through one _reduce."""
+        if target == self.field:
+            return self
+        if not self.field.embeds_into(target):
+            raise NoEmbedding(f"{self.field} does not embed into {target}")
+        phi, step = self.field.degree, target.m // self.field.m
+        stride = (phi - 1) * step + 1
+        row = [0] * (len(self.num) // phi * stride)
+        for j in range(phi):
+            row[j * step::stride] = self.num[j::phi]
+        return self._from_ints(target, _reduce(row, target, stride), self.den)
 
     def __hash__(self):
         return hash((self.field, self.num, self.den))
@@ -707,16 +721,6 @@ class FieldElement(_Pair):
         if self.is_rational_value:
             return hash(Fraction(self.num[0], self.den))
         return _Pair.__hash__(self)
-
-    # --- embeddings ----------------------------------------------------
-    def embed(self, target: FieldDesc) -> "FieldElement":
-        """Image under zeta_m -> zeta_M^(M/m); requires m | M."""
-        if target == self.field:
-            return self
-        if not self.field.embeds_into(target):
-            raise NoEmbedding(f"{self.field} does not embed into {target}")
-        row = _restride(self.num, 1, target.m // self.field.m, len(self.num))
-        return FieldElement._from_ints(target, _reduce(row, target, len(row)), self.den)
 
     # --- display --------------------------------------------------------
     def __str__(self):

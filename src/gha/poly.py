@@ -180,11 +180,6 @@ class Poly(_Pair):
         acc, m = blocks[0]
         return Poly._from_ints(field, acc, self.den * d ** (m - 1))
 
-    def embed(self, target: FieldDesc) -> "Poly":
-        if target == self.field:
-            return self
-        return Poly(target, (c.embed(target) for c in self.coeffs))
-
     # --- display -------------------------------------------------------------
     def to_text(self, var: str = "h") -> str:
         """Descending powers, '^' for exponents, e.g. 'h^3 + 2*h - 1'."""

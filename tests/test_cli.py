@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gha import cli, field
+from gha import cli, field, structure
 from gha.cli import build_parser, run
 from gha.core import AlgebraElement
 from gha.poly import Poly
@@ -623,6 +623,37 @@ def test_noetherian_formats_the_gcd_once(monkeypatch, capsys):
     code, out, _ = invoke(capsys, "--f", "h^3+h^2", "noetherian", "--max-n", "50")
     assert code == 0 and len(out.splitlines()) == 51
     assert len(calls) == 1
+
+
+def test_noetherian_builds_one_report(monkeypatch, capsys):
+    # the ideal is (f) for every n: one report serves all max_n + 1 lines
+    built = []
+    report = structure.WitnessReport
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "WitnessReport", counting)
+    for fmt in ([], ["--json"]):
+        built.clear()
+        code, out, _ = invoke(capsys, "--f", "h^3+h^2", *fmt, "noetherian", "--max-n", "1000")
+        assert code == 0 and len(built) == 1
+        assert out.count("n=" if not fmt else '"n": ') == 1001
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--f", "h^3+h^2"], "".join(f"n={n}: gcd = h^3 + h^2, member = false\n" for n in range(4))),
+    (["--f", "2h"], "".join(f"n={n}: gcd = h, member = true\n" for n in range(4))),
+    (["--f", "h^3+h^2", "--json"], '{"reports": [' + ", ".join(
+        f'{{"n": {n}, "gcd": ["0", "0", "1", "1"], "member": false}}' for n in range(4)) + "]}\n"),
+    (["--f", "2h", "--json"], '{"reports": [' + ", ".join(
+        f'{{"n": {n}, "gcd": ["0", "1"], "member": true}}' for n in range(4)) + "]}\n"),
+])
+def test_noetherian_stdout_bytes(capsys, argv, expected):
+    assert run(argv + ["noetherian", "--max-n", "3"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
 
 
 def test_large_cyclotomic_product_convolves_short_rows(monkeypatch, capsys):

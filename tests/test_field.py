@@ -1,12 +1,15 @@
 """Cyclotomic field arithmetic over exact rationals."""
 
 import contextvars
+import gc
 import math
 import operator
+import os
 import random
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -210,6 +213,28 @@ def test_embedding_requires_divisibility():
     assert not Q4.embeds_into(Q6)
     assert Q3.embeds_into(Q6)
     assert Q3.join(Q4) == FieldDesc(12)
+
+
+def test_phi_m_goes_away_with_its_field():
+    # Phi_m is cached on its FieldDesc: once the fields are dropped, the
+    # package holds none of the 8 KB Phi_p of the primes p it reduced by
+    primes = [p for p in range(1013, 1124) if all(p % d for d in range(2, 34))][:8]
+    FieldElement.zeta_power(FieldDesc(1009), 1008)  # warm-up: first-call allocations
+    package = os.path.dirname(gha.__file__)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for p in primes:
+            FieldElement.zeta_power(FieldDesc(p), p - 1)  # zeta^(p-1), reduced mod Phi_p
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    only = [tracemalloc.Filter(True, os.path.join(package, "*"))]
+    kept = sum(d.size_diff for d in after.filter_traces(only).compare_to(
+        before.filter_traces(only), "filename"))
+    assert kept < sys.getsizeof(tuple(range(primes[0]))), kept
 
 
 def test_rationals_embed_everywhere():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gha.core import AlgebraElement, Context, multiply
-from gha.errors import DegreeCapExceeded, UnsupportedCase
+from gha.errors import DegreeCapExceeded, NoEmbedding, UnsupportedCase
 from gha.field import RATIONALS, FieldDesc, FieldElement, _mul
 from gha.poly import (
     NEG_INF,
@@ -230,6 +230,34 @@ def test_embed_to_larger_field():
     p = P("h^2 - 1/2").embed(q6)
     assert p.field == q6
     assert p.coeff(2) == FieldElement.one(q6)
+
+
+def test_embed_of_zero_needs_an_embedding():
+    # the zero polynomial has no coefficient to refuse the map: the field does
+    with pytest.raises(NoEmbedding):
+        Poly.zero(FieldDesc(3)).embed(FieldDesc(4))
+    with pytest.raises(NoEmbedding):
+        Context(Poly.zero(FieldDesc(3))).embed(FieldDesc(4))
+
+
+@pytest.mark.parametrize("m, big", [(1, 6), (3, 12), (4, 12)])
+def test_embed_sends_zeta_m_to_a_power_of_zeta_big(m, big):
+    # reference: c = sum_i c_i zeta_m^i goes to sum_i c_i zeta_big^(i*big/m),
+    # each power built by zeta_power, which does not embed
+    rng = random.Random(100 * m + big)
+    src, target = FieldDesc(m), FieldDesc(big)
+    powers = [FieldElement.zeta_power(target, i * (big // m)) for i in range(src.degree)]
+    for _ in range(8):
+        coeffs = [FieldElement(src, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                     for _ in range(src.degree)])
+                  for _ in range(rng.randint(1, 12))]
+        p = Poly(src, coeffs)
+        image = p.embed(target)
+        want = [sum((x * z for x, z in zip(c.coords, powers)), FieldElement.zero(target))
+                for c in coeffs]
+        assert image.field == target and image.degree == p.degree
+        assert [image.coeff(j) for j in range(len(want))] == want
+        assert image == Poly(target, want) and hash(image) == hash(Poly(target, want))
 
 
 def test_to_text_forms():
