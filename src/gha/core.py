@@ -16,7 +16,8 @@ together with sigma^k(h), sigma^k(g) and z^k.
 A product works on the kernel rows of field: it multiplies coefficient
 rows with field._mul, adds the contributions to each output term on
 integer rows with field._add, and brings each sum to canonical form once,
-as a Poly.  The table of y^k x^j and sigma on H_0 sum the same way.
+as a Poly.  The table of y^k x^j sums the same way, and sigma on H_0 is
+read off the product y * theta.
 """
 
 from __future__ import annotations
@@ -275,13 +276,6 @@ def _collect(ctx: Context, sums: dict) -> "AlgebraElement":
     return AlgebraElement._of(ctx, terms)
 
 
-def _tower_gap(ctx: Context, top: int, bottom: int) -> tuple[list[int], int]:
-    """sigma^top(h) - sigma^bottom(h) as a trimmed kernel pair."""
-    hi, lo = ctx.sigma_h(top), ctx.sigma_h(bottom)
-    num, den = _add(hi.num, hi.den, [-v for v in lo.num], lo.den)
-    return _trim(num, ctx.field.degree), den
-
-
 def generators(ctx: Context) -> Generators:
     """x, y, h and the central element z = x*y - h."""
     one = Poly.one(ctx.field)
@@ -320,7 +314,9 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
                 for (p, q), w in known(r - 1, c - 1).terms.items():
                     # x^p w y^q (sigma^c(h) - h) = x^p w sigma^q(sigma^c(h) - h) y^q, and
                     # sigma^q is a ring endomorphism: sigma^q(sigma^c(h) - h) = sigma^(c+q)(h) - sigma^q(h)
-                    gap, den = _tower_gap(ctx, c + q, q)
+                    hi, lo = ctx.sigma_h(c + q), ctx.sigma_h(q)
+                    gap, den = _add(hi.num, hi.den, [-v for v in lo.num], lo.den)
+                    gap = _trim(gap, ctx.field.degree)
                     _add_row(sums, (p, q), _mul(w.num, gap, ctx.field), w.den * den)
                 memo[(r, c)] = _collect(ctx, sums)
     return known(k, j)
@@ -399,22 +395,16 @@ def homogeneous_parts(a: AlgebraElement) -> dict[int, AlgebraElement]:
 
 
 def sigma_h0(theta: AlgebraElement) -> AlgebraElement:
-    """sigma on the degree-0 subalgebra H_0.
+    """sigma on the degree-0 subalgebra H_0: y * theta = sigma(theta) * y, one y taken off.
 
     x^k g y^k -> x^k sigma(g) y^k + x^(k-1) (sigma^k(h) - h) g y^(k-1);
-    characterized by theta * x = x * sigma(theta) and y * theta = sigma(theta) * y.
+    also characterized by theta * x = x * sigma(theta).
     """
+    if any(i != k for (i, k) in theta.terms):
+        raise UnsupportedCase("sigma is defined only on the degree-0 subalgebra")
     ctx = theta.ctx
-    sums: dict[tuple[int, int], tuple] = {}
-    for (i, k), g in theta.terms.items():
-        if i != k:
-            raise UnsupportedCase("sigma is defined only on the degree-0 subalgebra")
-        sg = ctx.sigma(g, 1)
-        _add_row(sums, (k, k), sg.num, sg.den)
-        if k:
-            gap, den = _tower_gap(ctx, k, 0)
-            _add_row(sums, (k - 1, k - 1), _mul(gap, g.num, ctx.field), den * g.den)
-    return _collect(ctx, sums)
+    prod = multiply(AlgebraElement._of(ctx, {(0, 1): Poly.one(ctx.field)}), theta)  # y * theta
+    return AlgebraElement._of(ctx, {(i, k - 1): g for (i, k), g in prod.terms.items()})
 
 
 def apply_iota(a: AlgebraElement) -> AlgebraElement:

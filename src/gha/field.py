@@ -30,8 +30,8 @@ first computed, and in _mul the degree of every product of coefficient rows.
 _Value, the base of FieldDesc and of the package's other small immutable
 records (the parser's tree nodes, the structure and morphism reports), is
 here because every other module imports this one.  They are plain slotted
-classes, so a process that imports gha compiles no generated methods and
-loads neither dataclasses nor the inspect module it imports.
+classes with constructors generated from their fields, so a process that
+imports gha loads neither dataclasses nor the inspect module it imports.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ def degree_cap() -> int:
 
 def set_degree_cap(cap: int) -> None:
     """Set the guard on polynomial degrees and field degrees phi(m) in the current context."""
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise TypeError(f"degree cap must be an int, not {type(cap).__name__}")
     if cap < 1:
         raise ValueError("degree cap must be positive")
     _DEGREE_CAP.set(cap)
@@ -446,13 +448,24 @@ _setattr = object.__setattr__
 class _Value:
     """An immutable value: its fields, named in order by __match_args__, live in __slots__.
 
-    A subclass sets them in its own positional __init__ through _setattr;
-    after that, assignment raises AttributeError.  Equality goes by class
-    and field values, hash by field values, and repr reads as a dataclass's;
-    copy and pickle call the class on the field values.
+    A subclass that names its fields in its own __match_args__ and defines no
+    __init__ gets one generated, as namedtuple does: the fields in order, each
+    set through _setattr.  After that, assignment raises AttributeError.
+    Equality goes by class and field values, hash by field values, and repr
+    reads as a dataclass's; copy and pickle call the class on the field values.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__match_args__" in cls.__dict__ and "__init__" not in cls.__dict__:
+            names = cls.__match_args__
+            body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in names)
+            source = f"def __init__(self, {', '.join(names)}):{body}"
+            space = {}  # the filename names the class, for tracebacks and profiles
+            exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}.__init__>", "exec"),
+                 {"_setattr": _setattr}, space)
+            cls.__init__ = space["__init__"]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -485,6 +498,8 @@ class FieldDesc(_Value):
     __match_args__ = ("m",)
 
     def __init__(self, m: int = 1):
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise TypeError(f"cyclotomic index must be an int, not {type(m).__name__}")
         if m < 1:
             raise ValueError("cyclotomic index must be >= 1")
         _setattr(self, "m", m)

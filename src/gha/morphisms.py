@@ -132,10 +132,6 @@ def classify_locally_finite(d: DerivationSpec) -> FieldElement | None:
 class NilpotencyProbe(_Value):
     __slots__ = __match_args__ = ("nilpotent", "steps")
 
-    def __init__(self, nilpotent: bool, steps: int):
-        _setattr(self, "nilpotent", nilpotent)
-        _setattr(self, "steps", steps)
-
     def __str__(self):
         return f"NilpotentAt({self.steps})" if self.nilpotent else f"NotNilpotentWithin({self.steps})"
 
@@ -169,13 +165,6 @@ class AutGroup(_Value):
     """
 
     __slots__ = __match_args__ = ("n", "cyclic_order", "generator", "field")
-
-    def __init__(self, n: int, cyclic_order: int, generator: tuple[FieldElement, FieldElement],
-                 field: FieldDesc):
-        _setattr(self, "n", n)
-        _setattr(self, "cyclic_order", cyclic_order)
-        _setattr(self, "generator", generator)
-        _setattr(self, "field", field)
 
     def describe(self) -> str:
         return f"C* x Z_{self.cyclic_order}"

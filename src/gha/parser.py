@@ -7,7 +7,7 @@ output never uses it.  Polynomial inputs (the --f flag) additionally
 allow implicit multiplication, as in '2h^3 - h'.  Parentheses nest at
 most MAX_NESTING deep.
 
-The tree's nodes are immutable values (field._Value) with positional
+The tree's nodes are immutable values (field._Value) with generated
 constructors and class patterns; tokens are a NamedTuple.  A parse builds
 a node per operator and a token per lexeme, so both stay cheap to make.
 """
@@ -21,32 +21,22 @@ from typing import NamedTuple, Union
 
 from .core import AlgebraElement, Context, generators
 from .errors import ParseError
-from .field import RATIONALS, FieldDesc, FieldElement, _setattr, _text_int, _Value
+from .field import RATIONALS, FieldDesc, FieldElement, _text_int, _Value
 from .poly import Poly
 
 Expr = Union["Num", "Sym", "Add", "Sub", "Mul", "Neg", "Pow"]
 
 
 class Num(_Value):
-    __slots__ = __match_args__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        _setattr(self, "value", value)
+    __slots__ = __match_args__ = ("value",)  # a Fraction
 
 
 class Sym(_Value):
-    __slots__ = __match_args__ = ("name",)
-
-    def __init__(self, name: str):  # x, y, h, z or zeta
-        _setattr(self, "name", name)
+    __slots__ = __match_args__ = ("name",)  # x, y, h, z or zeta
 
 
 class _Binary(_Value):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        _setattr(self, "left", left)
-        _setattr(self, "right", right)
 
 
 class Add(_Binary):
@@ -64,16 +54,9 @@ class Mul(_Binary):
 class Neg(_Value):
     __slots__ = __match_args__ = ("operand",)
 
-    def __init__(self, operand: Expr):
-        _setattr(self, "operand", operand)
-
 
 class Pow(_Value):
     __slots__ = __match_args__ = ("base", "exponent")
-
-    def __init__(self, base: Expr, exponent: int):
-        _setattr(self, "base", base)
-        _setattr(self, "exponent", exponent)
 
 
 class _Token(NamedTuple):

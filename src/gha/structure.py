@@ -26,14 +26,6 @@ class Classification(_Value):
     __slots__ = __match_args__ = (
         "deg_f", "is_domain", "is_noetherian", "is_generalized_down_up", "center_description")
 
-    def __init__(self, deg_f: int, is_domain: bool, is_noetherian: bool,
-                 is_generalized_down_up: bool, center_description: CenterKind):
-        _setattr(self, "deg_f", deg_f)
-        _setattr(self, "is_domain", is_domain)
-        _setattr(self, "is_noetherian", is_noetherian)
-        _setattr(self, "is_generalized_down_up", is_generalized_down_up)
-        _setattr(self, "center_description", center_description)
-
 
 def classify(ctx: Context) -> Classification:
     """Degree-driven structural flags."""
@@ -53,11 +45,6 @@ class WitnessReport(_Value):
     """Whether h lies in the ideal (sigma^1(h), ..., sigma^(n+1)(h)) of C[h]."""
 
     __slots__ = __match_args__ = ("n", "generator_gcd", "is_member")
-
-    def __init__(self, n: int, generator_gcd: Poly, is_member: bool):
-        _setattr(self, "n", n)
-        _setattr(self, "generator_gcd", generator_gcd)
-        _setattr(self, "is_member", is_member)
 
 
 def noetherian_witness(ctx: Context, max_n: int) -> list[WitnessReport]:
@@ -138,8 +125,8 @@ def center_membership(a: AlgebraElement) -> Poly | None:
     out = _peel(a, lambda g, top: g if g.degree == 0 else None)
     if out is None:
         return None
-    h = Poly.gen(ctx.field)
-    return sum((g * h ** k for k, g in out.items()), Poly.zero(ctx.field))
+    top = max(out, default=-1)
+    return Poly(ctx.field, [out[k].coeff(0) if k in out else 0 for k in range(top + 1)])
 
 
 def zh_membership(a: AlgebraElement) -> dict[int, Poly] | None:

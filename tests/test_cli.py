@@ -227,6 +227,18 @@ def test_degree_cap_option(capsys):
     assert "expected a positive integer" in err
 
 
+def test_sigma_is_refused_at_the_cap_of_y_times_theta(capsys):
+    # sigma on H_0 is the product y * theta with one y taken off; the product
+    # checks n^K for theta's top K = 2 before any work, so the message names
+    # 3^2 = 9, not the first sigma(g) of degree 6 a term-by-term rule meets
+    expr = "x^2*(h^2+1)*y^2 + x*(h^3)*y + h^5"
+    code, out, err = invoke(capsys, "--degree-cap", "5", "--f", "h^3+h", "sigma", expr)
+    assert (code, out) == (1, "")
+    assert err == "error: result degree 9 exceeds the cap 5"
+    code, out, _ = invoke(capsys, "--degree-cap", "9", "--f", "h^3+h", "sigma", "x*(h^2+1)*y")
+    assert code == 0 and out == "(h^5 + h^3) + x^1 * (h^6 + 2*h^4 + h^2 + 1) * y^1"
+
+
 def test_degree_cap_option_holds_for_its_own_run_only(capsys, monkeypatch):
     # two runs in threads, one with --degree-cap 10, inside nf h^50 at once
     entered, computed = threading.Barrier(2, timeout=60), threading.Barrier(2, timeout=60)

@@ -196,6 +196,34 @@ def test_sigma_h0_rule(ctx):
     assert sigma_h0(AlgebraElement.one(ctx)) == AlgebraElement.one(ctx)
 
 
+def _sigma_h0_by_rule(theta: AlgebraElement) -> AlgebraElement:
+    """x^k g y^k -> x^k g(f) y^k + x^(k-1) (sigma^k(h) - h) g y^(k-1), on Polys alone."""
+    ctx = theta.ctx
+    h = Poly.gen(ctx.field)
+    out: dict = {}
+    for (k, _), g in theta.terms.items():
+        pieces = [((k, k), g.compose(ctx.f))]
+        if k:
+            pieces.append(((k - 1, k - 1), (sigma_power_h(ctx.f, k) - h) * g))
+        for key, piece in pieces:
+            out[key] = out[key] + piece if key in out else piece
+    return AlgebraElement(ctx, out)
+
+
+@pytest.mark.parametrize("ftxt, m", [("h^3 + zeta*h", 3), ("h^4 + h", 1), ("2h^3 + h^2", 1)])
+def test_sigma_h0_matches_the_rule_term_by_term(ftxt, m):
+    # sigma_h0 reads sigma off the product y * theta; this reference builds the
+    # rule from compositions and Poly arithmetic, with no product in H(f)
+    rng = random.Random(6060 + m)
+    ctx = ctx_for(ftxt, FieldDesc(m))
+    for _ in range(12):
+        theta = random_diagonal_element(rng, ctx, max_k=3)
+        assert sigma_h0(theta) == _sigma_h0_by_rule(theta)
+    for k in range(4):
+        theta = AlgebraElement(ctx, {(k, k): Poly.one(ctx.field)})
+        assert sigma_h0(theta) == _sigma_h0_by_rule(theta)
+
+
 def test_sigma_h0_characterizing_identities():
     rng = random.Random(3030)
     for ftxt in ("h^2", "h^3+h"):

@@ -48,6 +48,27 @@ def test_phi_counts_units():
     assert euler_phi(999983 * 1000003) == 999982 * 1000002
 
 
+@pytest.mark.parametrize("cap", [50.5, True, False, Fraction(7), "7", None])
+def test_degree_cap_must_be_an_int(cap):
+    # a float cap used to surface as an AttributeError from check_degree, and
+    # True was taken as a cap of 1 that error messages printed as "True"
+    before = degree_cap()
+    with pytest.raises(TypeError, match="degree cap must be an int"):
+        set_degree_cap(cap)
+    assert degree_cap() == before
+    set_degree_cap(7)
+    assert degree_cap() == 7
+
+
+@pytest.mark.parametrize("m", [4.0, True, False, Fraction(3), "3", None])
+def test_field_index_must_be_an_int(m):
+    # FieldDesc(4.0) used to fail only at the first zeta, and FieldDesc(True)
+    # printed as Q with degree True
+    with pytest.raises(TypeError, match="cyclotomic index must be an int"):
+        FieldDesc(m)
+    assert FieldDesc(4).degree == 2 and str(FieldDesc(1)) == "Q"
+
+
 def test_field_degree_over_the_cap_raises():
     set_degree_cap(10)
     assert FieldDesc(11).degree == 10

@@ -124,6 +124,41 @@ def test_keyword_construction():
     assert DerivationSpec(ctx=ctx, im_x=x, im_y=-y, im_h=h - h) == DerivationSpec.diagonal(ctx)
 
 
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_constructor_takes_each_field_once_by_position_or_name(cls):
+    value = next(v for v in _values() if type(v) is cls)
+    names = FIELDS[cls]
+    fields = tuple(getattr(value, name) for name in names)
+    by_name = dict(zip(names, fields))
+    half = len(names) // 2
+    assert cls(*fields) == value
+    assert cls(**by_name) == value
+    assert cls(*fields[:half], **dict(zip(names[half:], fields[half:]))) == value
+    if cls in (FieldDesc, GradingFamily):  # their one field has a default
+        assert cls() == {FieldDesc: RATIONALS, GradingFamily: GradingFamily((1, -1, 0))}[cls]
+    else:
+        with pytest.raises(TypeError):
+            cls(*fields[:-1])
+    with pytest.raises(TypeError):
+        cls(*fields, fields[-1])
+    with pytest.raises(TypeError):
+        cls(*fields, not_a_field=1)
+    with pytest.raises(TypeError):
+        cls(*fields, **{names[0]: fields[0]})
+
+
+def test_generated_constructors_are_named_for_their_class():
+    # records without a constructor of their own get one generated from their
+    # fields; its code names the class, so tracebacks and profiles tell them apart
+    own = (FieldDesc, GradingFamily, DerivationSpec)
+    filenames = {cls: cls.__init__.__code__.co_filename for cls in FIELDS if cls not in own}
+    assert filenames[Add] == filenames[Sub] == filenames[Mul] == "<gha.parser._Binary.__init__>"
+    assert filenames[AutGroup] == "<gha.morphisms.AutGroup.__init__>"
+    assert len(set(filenames.values())) == len(filenames) - 2  # Add, Sub, Mul share _Binary's
+    for cls in own:
+        assert cls.__init__.__code__.co_filename == sys.modules[cls.__module__].__file__
+
+
 def test_positional_class_patterns():
     match parse("x-2/3*h^2"):
         case Sub(Sym(name), Mul(Num(value), Pow(Sym("h"), exponent))):
