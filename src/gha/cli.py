@@ -44,18 +44,18 @@ def _field_desc(text: str) -> FieldDesc:
     raise argparse.ArgumentTypeError(f"unknown field {text!r}; use Q or Q(zeta_m)")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer")
-    return value
+def _count(least: int):
+    """An argparse type for the integers >= least, 0 or 1, with one message for any other text."""
 
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a nonnegative integer")
-    return value
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= least:
+                return value
+        except ValueError:  # not re-raised: argparse would print "invalid count value"
+            pass
+        raise argparse.ArgumentTypeError(f"expected a {('nonnegative', 'positive')[least]} integer")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--field", type=_field_desc, default=RATIONALS,
                         help="coefficient field: Q (default) or Q(zeta_m)")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--degree-cap", type=_positive_int, default=None, metavar="N",
+    parser.add_argument("--degree-cap", type=_count(1), default=None, metavar="N",
                         help="abort computations whose polynomial degree exceeds N")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
 
     p = sub.add_parser("noetherian", help="ascending-chain witness reports")
-    p.add_argument("--max-n", type=_nonnegative_int, required=True)
+    p.add_argument("--max-n", type=_count(0), required=True)
 
     sub.add_parser("gradings", help="admissible generator gradings")
 

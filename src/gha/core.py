@@ -13,11 +13,11 @@ y^k*g(h) = sigma^k(g)*y^k together with the rewrite
 whose iterates (the normal forms of y^k x^j) are memoized per context,
 together with sigma^k(h), sigma^k(g) and z^k.
 
-A product works on the kernel rows of field: it multiplies coefficient
-rows with field._mul, adds the contributions to each output term on
-integer rows with field._add, and brings each sum to canonical form once,
-as a Poly.  The table of y^k x^j sums the same way, and sigma on H_0 is
-read off the product y * theta.
+A product works on the kernel rows of field: _add_product multiplies two
+coefficient rows with field._mul, never a factor 1, and adds the result
+into an output term on integer rows; each sum becomes a canonical Poly
+once.  The table of y^k x^j sums the same way, and sigma on H_0 is read
+off the product y * theta.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from .poly import sigma_apply  # noqa: F401  (bench/layers.py rebinds core.sigma
 class Context:
     """A fixed defining polynomial f, its field, and memos that live and die with it."""
 
-    __slots__ = ("f", "field", "n", "_sigma_h", "_sigma", "_yx", "_z")
+    __slots__ = ("f", "field", "n", "_one", "_sigma_h", "_sigma", "_yx", "_z")
 
     def __init__(self, f: Poly):
         self.f = f
         self.field = f.field
         self.n = int(f.degree) if not f.is_zero else 0
+        self._one = Poly.one(f.field)  # the coefficient of x, y and every trivial y^k x^j
         self._sigma_h: dict[int, Poly] = {0: Poly.gen(f.field), 1: f}  # k -> sigma^k(h)
         self._sigma: dict[tuple, Poly] = {}  # (g.num, g.den, k) -> sigma^k(g); ints hash in C
         self._yx: dict[tuple[int, int], "AlgebraElement"] = {}  # (k, j) -> y^k x^j
@@ -127,7 +128,7 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, ctx: Context) -> "AlgebraElement":
-        return cls(ctx, {(0, 0): Poly.one(ctx.field)})
+        return cls._of(ctx, {(0, 0): ctx._one})
 
     @classmethod
     def from_poly(cls, ctx: Context, g: Poly) -> "AlgebraElement":
@@ -260,8 +261,14 @@ class AlgebraElement:
         return f"<{self.to_text()}>"
 
 
-def _add_row(sums: dict, key: tuple[int, int], num, den: int) -> None:
-    """Add the kernel pair (num, den) into sums[key], on integer rows."""
+def _add_product(sums: dict, key: tuple[int, int], a, da: int, b, db: int, field: FieldDesc) -> None:
+    """sums[key] += (a/da) * (b/db) on integer rows; a factor 1, the row (1, 0, ...), is not multiplied."""
+    b_is_one = db == 1 and len(b) == field.degree and b[0] == 1 and b.count(0) == len(b) - 1
+    if b_is_one or (da == 1 and len(a) == field.degree and a[0] == 1 and a.count(0) == len(a) - 1):
+        num, den = (a, da) if b_is_one else (b, db)
+        check_degree(len(num) // field.degree - 1)  # the cap _mul checks, also with no product formed
+    else:
+        num, den = _mul(a, b, field), da * db
     cur = sums.get(key)
     sums[key] = (num, den) if cur is None else _add(cur[0], cur[1], num, den)
 
@@ -278,13 +285,12 @@ def _collect(ctx: Context, sums: dict) -> "AlgebraElement":
 
 def generators(ctx: Context) -> Generators:
     """x, y, h and the central element z = x*y - h."""
-    one = Poly.one(ctx.field)
-    h = Poly.gen(ctx.field)
+    one, h = ctx._one, ctx.sigma_h(0)
     return Generators(
-        x=AlgebraElement(ctx, {(1, 0): one}),
-        y=AlgebraElement(ctx, {(0, 1): one}),
-        h=AlgebraElement(ctx, {(0, 0): h}),
-        z=AlgebraElement(ctx, {(1, 1): one, (0, 0): -h}),
+        x=AlgebraElement._of(ctx, {(1, 0): one}),
+        y=AlgebraElement._of(ctx, {(0, 1): one}),
+        h=AlgebraElement._of(ctx, {(0, 0): h}),
+        z=AlgebraElement._of(ctx, {(1, 1): one, (0, 0): -h}),
     )
 
 
@@ -294,7 +300,7 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
     y^k x^j = (y^(k-1) x^j) y + (y^(k-1) x^(j-1)) (sigma^j(h) - h), filled
     in row by row from k = 1, so that a large k needs no deep recursion.
     The second product is read from the sigma^k(h) tower term by term, with
-    no composition, and summed into the first on kernel rows.  multiply has
+    no composition, and summed into the first by _add_product.  multiply has
     checked the degree cap for (k, j), that is n^(k+j-1) >= n^(c+q) for every
     tower entry read, before the call.
     """
@@ -302,10 +308,9 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
     cached = memo.get((k, j))
     if cached is not None:
         return cached
-    one = Poly.one(ctx.field)
 
     def known(r: int, c: int) -> AlgebraElement:  # x^c and y^r themselves are not stored
-        return memo[(r, c)] if r and c else AlgebraElement._of(ctx, {(c, r): one})
+        return memo[(r, c)] if r and c else AlgebraElement._of(ctx, {(c, r): ctx._one})
 
     for r in range(1, k + 1):
         for c in range(max(1, j - k + r), j + 1):
@@ -317,7 +322,7 @@ def _y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
                     hi, lo = ctx.sigma_h(c + q), ctx.sigma_h(q)
                     gap, den = _add(hi.num, hi.den, [-v for v in lo.num], lo.den)
                     gap = _trim(gap, ctx.field.degree)
-                    _add_row(sums, (p, q), _mul(w.num, gap, ctx.field), w.den * den)
+                    _add_product(sums, (p, q), w.num, w.den, gap, den, ctx.field)
                 memo[(r, c)] = _collect(ctx, sums)
     return known(k, j)
 
@@ -338,11 +343,11 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     sigma^p(g) w is formed once, and the left factors are summed on integer
     rows by (i + p, q): each sum meets the same sigma^q(g') of every right
     term with that j, so it is multiplied by each of them once.  Each
-    sigma^p(g) and sigma^q(g') is looked up once per product.  The
-    contributions to an output term are summed on integer rows and made a
-    canonical Poly once.  The x^(j-1) y^(k-1) term of y^k x^j has degree
-    n^(k+j-1) exactly (n > 1), so the cap is checked once, for the largest
-    k and j, before any pair is built; field._mul checks every row product.
+    sigma^p(g) and sigma^q(g') is looked up once per product, and every row
+    product goes through _add_product, which never multiplies by 1.  Each
+    output term becomes a canonical Poly once.  The x^(j-1) y^(k-1) term of
+    y^k x^j has degree n^(k+j-1) exactly (n > 1), so the cap is checked
+    once, for the largest k and j, before any pair is built.
     """
     ctx = a.ctx
     if b.ctx is not ctx and b.ctx != ctx:
@@ -350,7 +355,6 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     _check_product(ctx.n, max(map(itemgetter(1), a.terms), default=0),
                    max(map(itemgetter(0), b.terms), default=0))
     field, phi, sigma = ctx.field, ctx.field.degree, ctx.sigma
-    unit = (1,) + (0,) * (phi - 1)  # the rows of the Poly 1
     by_j: dict[int, list[tuple[int, Poly]]] = {}  # j -> [(l, g')]
     for (j, l), gh in b.terms.items():
         by_j.setdefault(j, []).append((l, gh))
@@ -360,16 +364,12 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     for j, column in by_j.items():
         lefts: dict[tuple[int, int], tuple] = {}  # (i + p, q) -> sum of sigma^p(g) w
         for (i, k), g in a.terms.items():
-            # y^k x^j; with k = 0 or j = 0 it is x^j y^k, and None stands for its coefficient 1
-            mid = _y_pow_x_pow(ctx, k, j).terms if k and j else {(j, k): None}
+            mid = _y_pow_x_pow(ctx, k, j).terms if k and j else {(j, k): ctx._one}
             for (p, q), w in mid.items():
                 sg = left.get((i, k, p)) if p else g
                 if sg is None:
                     sg = left[(i, k, p)] = sigma(g, p)
-                if w is None or (w.den == 1 and w.num == unit):
-                    _add_row(lefts, (i + p, q), sg.num, sg.den)
-                else:
-                    _add_row(lefts, (i + p, q), _mul(sg.num, w.num, field), sg.den * w.den)
+                _add_product(lefts, (i + p, q), sg.num, sg.den, w.num, w.den, field)
         for (s, q), (lnum, lden) in lefts.items():
             lnum = _trim(lnum, phi)
             if not lnum:
@@ -378,7 +378,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 sgh = right.get((j, l, q)) if q else gh
                 if sgh is None:
                     sgh = right[(j, l, q)] = sigma(gh, q)
-                _add_row(sums, (s, q + l), _mul(lnum, sgh.num, field), lden * sgh.den)
+                _add_product(sums, (s, q + l), lnum, lden, sgh.num, sgh.den, field)
     return _collect(ctx, sums)
 
 
@@ -403,7 +403,7 @@ def sigma_h0(theta: AlgebraElement) -> AlgebraElement:
     if any(i != k for (i, k) in theta.terms):
         raise UnsupportedCase("sigma is defined only on the degree-0 subalgebra")
     ctx = theta.ctx
-    prod = multiply(AlgebraElement._of(ctx, {(0, 1): Poly.one(ctx.field)}), theta)  # y * theta
+    prod = multiply(AlgebraElement._of(ctx, {(0, 1): ctx._one}), theta)  # y * theta
     return AlgebraElement._of(ctx, {(i, k - 1): g for (i, k), g in prod.terms.items()})
 
 

@@ -11,7 +11,7 @@ pairs.  A scalar is one row of phi(m) coordinates; a polynomial is a flat
 tuple of such rows, one per coefficient.  One class, _Pair, builds both
 from kernel results and gives both +, -, *, ==, hash and embed; FieldElement and
 poly.Poly add only what a scalar or a polynomial has of its own.  Printers
-read the rows and write ints through decimal, which has no digit limit.
+read the rows and write ints _CHUNK digits at a time, below any digit limit.
 
 Every product is one integer convolution.  Two operands of 32 entries or
 more that share a step s > 1, each nonzero only at o, o + s, o + 2s, ...,
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice
@@ -120,8 +119,16 @@ def monomial(coeff: str, var: str, j: int) -> str:
 
 
 def _int_text(n: int) -> str:
-    """The decimal digits of n; unlike str(n), of any length."""
-    return str(Decimal(n))
+    """The decimal digits of n; unlike str(n), of any length, written _CHUNK digits at a time."""
+    if 0 <= n < _CHUNK_SCALE:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    pieces = []
+    while n >= _CHUNK_SCALE:
+        n, low = divmod(n, _CHUNK_SCALE)
+        pieces.append(str(low).zfill(_CHUNK))
+    return str(n) + "".join(reversed(pieces))
 
 
 _CHUNK = 600  # digits; sys.set_int_max_str_digits accepts no limit below 640

@@ -3,7 +3,8 @@
 Everything random takes an explicit random.Random so failures reproduce
 from the seed alone.  The scalar references share no code with the package;
 the derivation references build on its product and differ only in how they
-expand the Leibniz rule.
+expand the Leibniz rule.  The normal form of y^k x^j is rebuilt from the
+central element z with Poly arithmetic alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from gha.core import AlgebraElement, Context, generators, multiply
 from gha.errors import UnsupportedCase
 from gha.field import FieldDesc, FieldElement, divisors
-from gha.poly import Poly
+from gha.poly import Poly, sigma_power_h
 
 PHI = {  # ascending coefficients of Phi_m
     1: (-1, 1),
@@ -119,6 +120,49 @@ def x_fixing_pairs_by_divisor(f: Poly) -> dict:
         b = (a - 1) * f.coeff(n - 1).embed(desc) / (f.leading_coeff.embed(desc) * n)
         pairs[d] = (a, b)
     return pairs
+
+
+# --- y^k x^j from the central element z -----------------------------------
+
+
+def ref_y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
+    """Normal form of y^k x^j built from z = x*y - h, with no product in H(f).
+
+    yx = z + sigma(h) and g(h) x = x sigma(g), z central, give, with
+    d = |j - k|, m = min(j, k) and s_i = sigma^(i+d)(h),
+
+        y^k x^j = x^max(j-k, 0) * prod_{i=1..m} (z + s_i) * y^max(k-j, 0).
+
+    Write prod (t + s_i) = sum_r e_r t^r.  z^r = sum_a x^a c_{r,a} y^a with
+    c_{0,0} = 1 and c_{r+1,a} = sigma(c_{r,a-1}) - h c_{r,a}, and
+    e_r x^a c y^a = x^a sigma^a(e_r) c y^a.  Only Poly arithmetic,
+    Poly.compose and sigma_power_h are used; no Context memo is read.
+    """
+    f, field = ctx.f, ctx.field
+    d, m = abs(j - k), min(j, k)
+    tower: dict[int, Poly] = {}
+
+    def sigma_h(i: int) -> Poly:
+        if i not in tower:
+            tower[i] = sigma_power_h(f, i)
+        return tower[i]
+
+    zero, one, h = Poly.zero(field), Poly.one(field), Poly.gen(field)
+    e = [one]  # ascending in t
+    for i in range(1, m + 1):
+        s = sigma_h(i + d)
+        e = [(e[r - 1] if r else zero) + (s * e[r] if r < len(e) else zero) for r in range(len(e) + 1)]
+    terms: dict[tuple[int, int], Poly] = {}
+    c = [one]  # c[a] = c_{r,a}
+    for r, e_r in enumerate(e):
+        if r:
+            c = [(c[a - 1].compose(f) if a else zero) - (h * c[a] if a < r else zero)
+                 for a in range(r + 1)]
+        for a, c_a in enumerate(c):
+            key = (a + max(j - k, 0), a + max(k - j, 0))
+            term = e_r.compose(sigma_h(a)) * c_a
+            terms[key] = terms[key] + term if key in terms else term
+    return AlgebraElement(ctx, terms)
 
 
 # --- derivations, expanded term by term ----------------------------------

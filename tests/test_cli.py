@@ -227,6 +227,19 @@ def test_degree_cap_option(capsys):
     assert "expected a positive integer" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    *[(["--degree-cap", v, "--f", "h", "nf", "x"], "argument --degree-cap: expected a positive integer")
+      for v in ("abc", "1.5", "", "0", "-3")],
+    *[(["--f", "h", "noetherian", "--max-n", v], "argument --max-n: expected a nonnegative integer")
+      for v in ("x1", "1.5", "", "-1")],
+])
+def test_count_options_give_one_message_for_any_bad_value(capsys, argv, message):
+    # a non-integer gets the message of an out-of-range value, with no private function named
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(message) and "invalid" not in err, err
+
+
 def test_sigma_is_refused_at_the_cap_of_y_times_theta(capsys):
     # sigma on H_0 is the product y * theta with one y taken off; the product
     # checks n^K for theta's top K = 2 before any work, so the message names

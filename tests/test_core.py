@@ -25,7 +25,13 @@ from gha.parser import parse_element, parse_poly
 from gha.poly import Poly, set_degree_cap, sigma_power_h
 
 from .free_oracle import oracle_product
-from .helpers import random_diagonal_element, random_element, random_poly, random_scalar
+from .helpers import (
+    random_diagonal_element,
+    random_element,
+    random_poly,
+    random_scalar,
+    ref_y_pow_x_pow,
+)
 
 
 def ctx_for(ftxt: str, field=None) -> Context:
@@ -479,7 +485,8 @@ def test_warm_products_on_the_tower_support_equal_cold_ones(ftxt, field):
 
 def test_warm_product_cost_is_pinned(monkeypatch):
     # counts of kernel products and sigma lookups, not a clock: term by term, one product on
-    # this support made 86 of each; each left factor and image once per product makes 49 and 24
+    # this support made 86 of each; each left factor and image once per product makes 49 and 24,
+    # and leaving out every factor 1 (x's, y's, the leading terms of y^k x^j) 27 row products
     import gha.core
 
     rng = random.Random(9)
@@ -500,7 +507,106 @@ def test_warm_product_cost_is_pinned(monkeypatch):
     monkeypatch.setattr(gha.core, "_mul", counted_mul)
     monkeypatch.setattr(Context, "sigma", counted_sigma)
     assert multiply(a, b) == expected
-    assert counts["_mul"] <= 49 and counts["sigma"] <= 24, counts
+    assert counts["_mul"] <= 27 and counts["sigma"] <= 24, counts
+
+
+def test_warm_sigma_h0_multiplies_no_factor_1(monkeypatch):
+    # sigma_h0 reads y * theta: neither y's coefficient 1 nor the leading coefficient 1 of a
+    # y^k x^j is multiplied, so only the coefficients of theta's two y-terms meet a tower gap
+    import gha.core
+
+    ctx = ctx_for("h^3 + h")
+    theta = parse_element("x*h*y + x^2*(h+1)*y^2 + 3", ctx)
+    expected = sigma_h0(theta)  # warms the memo
+    calls, mul = [], gha.core._mul
+
+    def counted_mul(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(gha.core, "_mul", counted_mul)
+    assert sigma_h0(theta) == expected
+    assert len(calls) <= 2, len(calls)
+
+
+def test_add_product_multiplies_no_factor_1(monkeypatch):
+    import gha.core
+    from gha.core import _add_product
+
+    calls, mul = [], gha.core._mul
+    monkeypatch.setattr(gha.core, "_mul", lambda *args: calls.append(args) or mul(*args))
+    z3 = FieldDesc(3)
+    g = (1, 2, 0, 3)  # (1 + 2 zeta) + 3 zeta h over 5, rows of phi(3) = 2
+    sums: dict = {}
+    _add_product(sums, (0, 0), (1, 0), 1, g, 5, z3)
+    _add_product(sums, (0, 0), g, 5, (1, 0), 1, z3)
+    assert sums == {(0, 0): ([2, 4, 0, 6], 5)} and calls == []
+    # 1 + zeta, 1/2, zeta, -1 and 1 + h are not the row 1: each is multiplied
+    for row, den in [((1, 1), 1), ((1, 0), 2), ((0, 1), 1), ((-1, 0), 1), ((1, 0, 1, 0), 1)]:
+        for left, right in [((row, den), (g, 5)), ((g, 5), (row, den))]:
+            sums, before = {}, len(calls)
+            _add_product(sums, (1, 2), *left, *right, z3)
+            assert len(calls) == before + 1
+            want = Poly._from_ints(z3, row, den) * Poly._from_ints(z3, g, 5)
+            assert Poly._from_ints(z3, *sums[(1, 2)]) == want
+
+
+def test_cap_holds_for_a_product_by_1_warm_or_cold():
+    # 1 * sigma(h^40) is not formed, but its degree 120 is checked against the
+    # cap as _mul would check it, whether the sigma memo is warm or cold
+    from gha.core import _add_product
+
+    for warm in (False, True):
+        set_degree_cap(100_000)
+        ctx = ctx_for("h^3 + h")
+        y, theta = parse_element("y", ctx), parse_element("x*h^40*y", ctx)
+        if warm:
+            multiply(y, theta)
+        set_degree_cap(100)
+        with pytest.raises(DegreeCapExceeded, match=r"^result degree 120 exceeds the cap 100$"):
+            multiply(y, theta)
+    long = (0,) * 101 + (1,)
+    for a, b in [((1,), long), (long, (1,))]:
+        with pytest.raises(DegreeCapExceeded, match=r"^result degree 101 exceeds the cap 100$"):
+            _add_product({}, (0, 0), a, 1, b, 1, FieldDesc(1))
+
+
+def test_context_builds_its_1_and_h_once(monkeypatch):
+    ctx = ctx_for("h^3 + h")
+    built = []
+    for name in ("one", "gen"):
+        make = getattr(Poly, name)  # bound to Poly
+
+        def counted(cls, field, make=make):
+            built.append(make)
+            return make(field)
+
+        monkeypatch.setattr(Poly, name, classmethod(counted))
+    x, y, h, z = generators(ctx)
+    assert x.terms[(1, 0)] is y.terms[(0, 1)] is z.terms[(1, 1)] is AlgebraElement.one(ctx).terms[(0, 0)]
+    assert h.terms[(0, 0)] is ctx.sigma_h(0)
+    theta = x * h * y + x * x * (h + 1) * y * y + 3
+    assert sigma_h0(theta) == sigma_h0(theta) and ctx.z_power(3) == z * z * z
+    assert built == []
+
+
+@pytest.mark.parametrize("ftxt, m, pairs", [
+    ("h^3 + h", 1, [(1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (3, 5), (5, 3)]),
+    ("h^3 + h^2 + 2", 1, [(k, j) for k in range(1, 5) for j in range(1, 3)]),
+    ("h^3 + zeta*h", 3, [(3, 3)]),
+    ("h^2", 1, [(4, 4), (1, 6), (6, 1)]),
+    ("h^4 + h", 1, [(3, 3)]),
+    ("h + 1", 1, [(2, 3), (3, 3)]),  # every tower gap sigma^c(h) - h is the constant c
+    ("-h + 2", 1, [(3, 2)]),
+])
+def test_y_pow_x_pow_matches_the_central_element_oracle(ftxt, m, pairs):
+    # the table is filled by the double loop over the tower gaps; the oracle expands
+    # x^(j-k) prod (z + sigma^(i+d)(h)) y^(k-j) with Poly arithmetic alone
+    import gha.core
+
+    ctx = ctx_for(ftxt, FieldDesc(m))
+    for k, j in pairs:
+        assert gha.core._y_pow_x_pow(ctx, k, j) == ref_y_pow_x_pow(ctx, k, j), (k, j)
 
 
 def _race(work, trials: int = 10, threads: int = 4) -> list:

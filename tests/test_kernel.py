@@ -124,6 +124,8 @@ def case(draw, n=2, max_degree=5, coeff=scalar):
 
 
 KERNEL = settings(max_examples=60, deadline=None)
+# _convolve_ks multiplies in libmpdec; the pure-Python _pydecimal has no such path
+NEEDS_LIBMPDEC = pytest.mark.skipif(field._KRONECKER is None, reason="needs libmpdec")
 
 # --- Poly ------------------------------------------------------------------------
 
@@ -319,6 +321,7 @@ def int_row(draw):
 BIG = 10 ** 5000 + 7  # 5001 digits, past the default int/str digit limit of 4,300
 
 
+@NEEDS_LIBMPDEC
 @KERNEL
 @given(int_row(), int_row())
 @example([BIG, 0, -BIG], [-BIG, 1])
@@ -328,6 +331,7 @@ def test_kronecker_convolution_matches_schoolbook(a, b):
     assert _convolve_ks(a, b) == ref_convolve(a, b)
 
 
+@NEEDS_LIBMPDEC
 def test_kronecker_path_is_chosen_by_operand_sizes(monkeypatch):
     calls = []
 
