@@ -12,12 +12,11 @@ import functools
 import os
 import re
 import sys
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import AlgebraElement, Context, commutator, sigma_h0
 from .errors import GhaError, ParseError
-from .field import RATIONALS, FieldDesc, FieldElement, _int_text, _ratio_text, set_degree_cap
+from .field import RATIONALS, FieldDesc, _int_text, _ratio_text, set_degree_cap
 from .morphisms import (
     DerivationSpec,
     automorphism_group,
@@ -120,18 +119,16 @@ def _parser() -> argparse.ArgumentParser:
 # --- serialization -----------------------------------------------------------
 
 
-def _scalar_json(c: FieldElement):
-    """A string over Q, else one string per coordinate, "0" for a zero one."""
-    if c.field.is_rational:
-        return _ratio_text(c.num[0], c.den)
-    out = ["0"] * len(c.num)
-    for j in compress(range(len(c.num)), c.num):
-        out[j] = _ratio_text(c.num[j], c.den)
-    return out
+def _scalar_json(field: FieldDesc, row, den: int):
+    """The scalar row/den: a string over Q, else one string per coordinate, "0" for a zero one."""
+    if field.is_rational:
+        return _ratio_text(row[0], den)
+    return [_ratio_text(v, den) if v else "0" for v in row]
 
 
 def _poly_json(p: Poly) -> list:
-    return [_scalar_json(c) for c in p.coeffs]
+    phi = p.field.degree
+    return [_scalar_json(p.field, p.num[j:j + phi], p.den) for j in range(0, len(p.num), phi)]
 
 
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
@@ -237,8 +234,8 @@ def _cmd_aut(ctx, args):
         return {
             "n": group.n,
             "cyclic_order": group.cyclic_order,
-            "a": _scalar_json(a),
-            "b": _scalar_json(b),
+            "a": _scalar_json(a.field, a.num, a.den),
+            "b": _scalar_json(b.field, b.num, b.den),
             "field": str(group.field),
             "group": group.describe(),
         }
@@ -266,7 +263,7 @@ def _cmd_derivation_classify(ctx, args):
     lam = classify_locally_finite(_parse_derivation(ctx, args))
     if lam is None:
         return {"lambda": None} if args.json else "none"
-    return {"lambda": _scalar_json(lam)} if args.json else f"lambda = {lam}"
+    return {"lambda": _scalar_json(lam.field, lam.num, lam.den)} if args.json else f"lambda = {lam}"
 
 
 def _cmd_sigma(ctx, args):

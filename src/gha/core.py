@@ -214,8 +214,8 @@ class AlgebraElement:
     def __pow__(self, e: int) -> "AlgebraElement":
         """self^e by square-and-multiply, refused before the first product if one would pass the cap.
 
-        H(f) is a domain, so the top x- and y-exponents of self^m are m times
-        those of self: every check multiply would make is known up front.
+        H(f) is a domain, so the top x- and y-exponents of self^m are m times those of
+        self.  The loop checks the products power forms, in order: none while done = 0.
         """
         if not isinstance(e, int) or e < 0:
             raise ValueError("element exponent must be a nonnegative integer")

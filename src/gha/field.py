@@ -164,15 +164,15 @@ def _row_terms(row, den: int) -> list[tuple[int, str]]:
 
 
 def power(base, e: int, one):
-    """base^e for e >= 0 by square-and-multiply; one is the unit of base's ring."""
-    result = one
+    """base^e for e >= 0 by square-and-multiply from e's lowest set bit; one is never multiplied."""
+    result = None
     while e:
         if e & 1:
-            result = result * base
+            result = base if result is None else result * base
         e >>= 1
         if e:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 # --- the coefficient kernel ------------------------------------------------

@@ -6,7 +6,7 @@ is folded as a product of i factors x, g(h) and k factors y, and d(g(h))
 by Horner's rule in h.  For deg f > 1 the locally finite derivations are
 the scalings c*d0, d0 = (x -> x, y -> -y, h -> 0); a candidate is one of
 them exactly when it equals c*d0 for c the constant coefficient at x of
-d(x).
+d(x), and only a candidate that is not c*d0 meets the relation check.
 
 The automorphism group splits as the scaling torus phi_lambda times a
 finite cyclic part of x-fixing maps
@@ -118,15 +118,18 @@ def classify_locally_finite(d: DerivationSpec) -> FieldElement | None:
     """The scalar c with d = c * (x -> x, y -> -y, h -> 0), or None.
 
     For deg f > 1 these scalings are exactly the locally finite derivations.
-    The only candidate for c is the constant coefficient of d(x) at x.
+    The only candidate for c is the constant coefficient of d(x) at x.  Any
+    other d meets the relation check: None for a derivation, else UnsupportedCase.
     """
     if not d.ctx.f.degree > 1:
         raise UnsupportedCase("classification of derivations requires deg f > 1")
-    if not check_derivation(d):
-        raise UnsupportedCase("the given images do not define a derivation")
     at_x = d.im_x.terms.get((1, 0))
     lam = at_x.coeff(0) if at_x is not None else FieldElement.zero(d.ctx.field)
-    return lam if d == DerivationSpec.diagonal(d.ctx, lam) else None
+    if d == DerivationSpec.diagonal(d.ctx, lam):
+        return lam  # c*d0 is a derivation: no relation check
+    if not check_derivation(d):
+        raise UnsupportedCase("the given images do not define a derivation")
+    return None
 
 
 class NilpotencyProbe(_Value):

@@ -63,7 +63,7 @@ def noetherian_witness(ctx: Context, max_n: int) -> list[WitnessReport]:
             "alpha of f(h) - h first (see find_shift_root and shift_polynomial)"
         )
     g = f.monic()
-    member = (not g.is_zero) and (Poly.gen(ctx.field) % g).is_zero
+    member = (not g.is_zero) and (ctx.sigma_h(0) % g).is_zero
     return [WitnessReport(n=n, generator_gcd=g, is_member=member) for n in range(max_n + 1)]
 
 
@@ -177,7 +177,7 @@ def is_admissible_grading(ctx: Context, triple: tuple[int, int, int]) -> bool:
     supp_f = _support(ctx.f)
     rel1 = {dh + dx} | {dx + j * dh for j in supp_f}  # h*x = x*f(h)
     rel2 = {dy + dh} | {j * dh + dy for j in supp_f}  # y*h = f(h)*y
-    supp_fmh = _support(ctx.f - Poly.gen(ctx.field))
+    supp_fmh = _support(ctx.f - ctx.sigma_h(0))
     rel3 = {dy + dx} | {j * dh for j in supp_fmh}  # y*x - x*y = f(h) - h
     return len(rel1) == 1 and len(rel2) == 1 and len(rel3) == 1
 

@@ -42,11 +42,11 @@ def ref_mul(m, a, b):
 
 
 def digits(n: int) -> str:
-    """Decimal digits of n in chunks of 1000, each short enough for str()."""
+    """Decimal digits of n in chunks of 600, each under 640, the lowest int/str digit limit."""
     sign, n, chunks = "-" if n < 0 else "", abs(n), []
-    while n >= 10 ** 1000:
-        n, low = divmod(n, 10 ** 1000)
-        chunks.append(str(low).zfill(1000))
+    while n >= 10 ** 600:
+        n, low = divmod(n, 10 ** 600)
+        chunks.append(str(low).zfill(600))
     return sign + str(n) + "".join(reversed(chunks))
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: text output, JSON output, exit codes."""
 
+import argparse
 import itertools
 import json
 import os
@@ -14,7 +15,8 @@ import pytest
 
 from gha import cli, field, structure
 from gha.cli import build_parser, run
-from gha.core import AlgebraElement
+from gha.core import AlgebraElement, Context
+from gha.parser import parse_element, parse_poly
 from gha.poly import Poly
 from gha.poly import degree_cap
 
@@ -573,6 +575,16 @@ GOLDEN = [
      ' ["0", "0"], ["0", "-3"], ["0", "0"], ["-3", "0"], ["0", "0"], ["1", "1"]]}, {"i": 2, "k":'
      ' 0, "poly": [["0", "0"], ["0", "0"], ["0", "0"], ["0", "0"], ["1", "-1"], ["0", "0"], ["-4",'
      ' "-3"], ["0", "0"], ["0", "3"], ["0", "0"], ["1", "0"]]}]}'),
+    # Q(zeta_2) has phi = 1 but is not Q: its scalars print as lists of one string
+    (["--field", "Q(zeta_2)", "--f", "h^2 + 3*h", "nf", "(x - 1/2*y)^2"],
+     "(-1/2*h^2 - h) + (1/4) * y^2 + x^1 * (-1) * y^1 + x^2 * (1)",
+     '{"f": [["0"], ["3"], ["1"]], "field": "Q(zeta_2)", "terms": [{"i": 0, "k": 0, "poly": [["0"],'
+     ' ["-1"], ["-1/2"]]}, {"i": 0, "k": 2, "poly": [["1/4"]]}, {"i": 1, "k": 1, "poly": [["-1"]]},'
+     ' {"i": 2, "k": 0, "poly": [["1"]]}]}'),
+    (["--field", "Q(zeta_2)", "--f", "h^2 + 3*h", "derivation-classify",
+      "--dx=-1/2*x", "--dy=1/2*y", "--dh=0"],
+     "lambda = -1/2",
+     '{"lambda": ["-1/2"]}'),
 ]
 
 
@@ -634,6 +646,21 @@ def test_json_mode_builds_no_text(monkeypatch, capsys):
     monkeypatch.setattr(Poly, "to_text", refuse)
     assert invoke(capsys, "--f", "h^2", "--json", "nf", "y*x")[0] == 0
     assert invoke(capsys, "--f", "h^2", "--json", "center", "x*y - h")[0] == 0
+
+
+def test_json_reads_coefficients_off_the_kernel_rows(monkeypatch):
+    # as to_text does: no scalar, and so no kernel pair, is built per coefficient
+    # slot; (x+y)^12 over h^2 has 45,946 of them
+    ctx = Context(parse_poly("h^2"))
+    e = parse_element("(x+y)^12", ctx)
+    want = [[str(c.as_fraction()) for c in e.terms[key].coeffs] for key in sorted(e.terms)]
+    built = []
+    make = field._Pair._from_ints.__func__
+    monkeypatch.setattr(field._Pair, "_from_ints",
+                        classmethod(lambda cls, *args: built.append(cls) or make(cls, *args)))
+    doc = cli._element_out(argparse.Namespace(json=True), e)
+    assert built == []
+    assert [t["poly"] for t in doc["terms"]] == want
 
 
 def test_noetherian_formats_the_gcd_once(monkeypatch, capsys):

@@ -23,6 +23,7 @@ from gha.errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
 from gha.field import FieldDesc, FieldElement
 from gha.parser import parse_element, parse_poly
 from gha.poly import Poly, set_degree_cap, sigma_power_h
+from gha.structure import is_admissible_grading, noetherian_witness
 
 from .free_oracle import oracle_product
 from .helpers import (
@@ -316,6 +317,23 @@ def test_context_mismatch_raises():
         a * b
 
 
+def test_element_construction_and_operand_edges():
+    ctx = ctx_for("h^3 + h")
+    x = generators(ctx).x
+    with pytest.raises(ValueError, match="^term exponents must be nonnegative$"):
+        AlgebraElement(ctx, {(-1, 0): 1})
+    assert AlgebraElement(ctx, {(0, 0): 3}) == AlgebraElement.one(ctx) * 3
+    with pytest.raises(FieldMismatch, match=r"^term over Q\(zeta_3\), context over Q$"):
+        AlgebraElement(ctx, {(0, 0): parse_poly("h", FieldDesc(3))})
+    assert bool(x) and not AlgebraElement.zero(ctx) and str(x) == x.to_text()
+    assert x * parse_poly("h + 1") == AlgebraElement(ctx, {(1, 0): parse_poly("h + 1")})
+    assert 3 - x == AlgebraElement(ctx, {(0, 0): 3, (1, 0): -1})
+    with pytest.raises(TypeError):
+        x * "a"
+    with pytest.raises(FieldMismatch, match="^elements live over different contexts$"):
+        multiply(x, generators(ctx_for("h^2")).x)  # the product's own check, past the operators
+
+
 def test_cyclotomic_coefficients_flow_through():
     q4 = FieldDesc(4)
     ctx = ctx_for("h^2", q4)
@@ -431,6 +449,21 @@ def test_power_is_refused_before_the_first_product(monkeypatch):
     # (x+y)^16 squares up to degree 2^15, under the cap: it is handed to the product loop
     monkeypatch.setattr(gha.core, "power", lambda base, e, one: (base, e))
     assert (x + y) ** 16 == (x + y, 16)
+
+
+def test_element_power_never_multiplies_by_one(monkeypatch):
+    # y^4 is two squarings: the power at the lowest set bit starts the product
+    import gha.core
+
+    ctx = ctx_for("h^3 + h")
+    x, y, _, _ = generators(ctx)
+    one, want = AlgebraElement.one(ctx), multiply(multiply(y, y), multiply(y, y))
+    calls = []
+    real = gha.core.multiply
+    monkeypatch.setattr(gha.core, "multiply", lambda a, b: calls.append((a, b)) or real(a, b))
+    assert y ** 4 == want and calls == [(y, y), (multiply(y, y), multiply(y, y))]
+    assert (x + y) ** 1 == x + y and (x + y) ** 0 == one
+    assert len(calls) == 2
 
 
 def test_power_at_the_cap_is_computed(monkeypatch):
@@ -587,6 +620,7 @@ def test_context_builds_its_1_and_h_once(monkeypatch):
     assert h.terms[(0, 0)] is ctx.sigma_h(0)
     theta = x * h * y + x * x * (h + 1) * y * y + 3
     assert sigma_h0(theta) == sigma_h0(theta) and ctx.z_power(3) == z * z * z
+    assert not noetherian_witness(ctx, 2)[0].is_member and is_admissible_grading(ctx, (1, -1, 0))
     assert built == []
 
 

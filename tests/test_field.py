@@ -16,7 +16,7 @@ import pytest
 
 import gha
 import gha.poly
-from gha.errors import DegreeCapExceeded, FieldMismatch, NoEmbedding
+from gha.errors import DegreeCapExceeded, FieldMismatch, NoEmbedding, UnsupportedCase
 from gha.field import (
     RATIONALS,
     FieldDesc,
@@ -347,6 +347,17 @@ def test_desc_str_and_m_validation():
     assert str(Q6) == "Q(zeta_6)"
     with pytest.raises(ValueError):
         FieldDesc(0)
+
+
+def test_zero_indices_and_irrational_scalars_are_refused():
+    with pytest.raises(ValueError, match="^degree cap must be positive$"):
+        set_degree_cap(0)
+    with pytest.raises(ValueError, match="^cyclotomic index must be a positive integer$"):
+        cyclotomic_polynomial(0)
+    zeta = FieldElement.zeta(Q3)
+    with pytest.raises(UnsupportedCase, match="^zeta is not a rational number$"):
+        zeta.as_fraction()
+    assert 2 / zeta == zeta * -2 - 2  # 1/zeta = zeta^2 = -zeta - 1 in Q(zeta_3)
 
 
 @pytest.mark.parametrize("m", [1, 3, 4])

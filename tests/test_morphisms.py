@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from gha.core import AlgebraElement, Context, apply_phi_lambda, generators
-from gha.errors import UnsupportedCase
-from gha.field import FieldDesc, FieldElement, RATIONALS
+from gha.errors import DegreeCapExceeded, FieldMismatch, UnsupportedCase
+from gha.field import FieldDesc, FieldElement, RATIONALS, set_degree_cap
 from gha.morphisms import (
     AutGroup,
     DerivationSpec,
@@ -125,6 +125,44 @@ def test_classify_preconditions(ctx):
     zl = AlgebraElement.zero(lin)
     with pytest.raises(UnsupportedCase):
         classify_locally_finite(DerivationSpec(lin, zl, zl, zl))  # deg f too small
+
+
+def test_scaling_is_classified_without_the_relation_check(monkeypatch):
+    # c*d0 is a derivation: comparing d with it decides, and no row product is formed
+    import gha.core
+    import gha.field
+    import gha.morphisms
+    import gha.poly
+
+    ctx = ctx_for("2*h^3 + 3*h")
+    x, y, h, _ = generators(ctx)
+    zero = AlgebraElement.zero(ctx)
+    d = DerivationSpec(ctx, x * 3, y * -3, zero)
+    inner = DerivationSpec(ctx, h * x - x * h, h * y - y * h, zero)
+    calls = []
+    check = gha.morphisms.check_derivation
+    monkeypatch.setattr(gha.morphisms, "check_derivation", lambda d: calls.append(d) or check(d))
+    for module in (gha.field, gha.core, gha.poly):
+        mul = module._mul
+        monkeypatch.setattr(module, "_mul",
+                            lambda a, b, field, mul=mul: calls.append((a, b)) or mul(a, b, field))
+    assert classify_locally_finite(d) == 3 and calls == []
+    # any other d meets the check: None for a derivation, UnsupportedCase otherwise
+    assert classify_locally_finite(inner) is None and calls[0] is inner
+    with pytest.raises(UnsupportedCase, match="^the given images do not define a derivation$"):
+        classify_locally_finite(DerivationSpec(ctx, x, y, zero))
+    assert sum(isinstance(c, DerivationSpec) for c in calls) == 2
+
+
+def test_scaling_is_classified_under_a_cap_below_deg_f():
+    # a cap lowered after the Context was built: the relation check would form
+    # d(f), of degree 3, and pass the cap 2; the scaling is a derivation anyway
+    ctx = ctx_for("h^3 + h")
+    d = DerivationSpec.diagonal(ctx, 2)
+    set_degree_cap(2)
+    assert classify_locally_finite(d) == 2
+    with pytest.raises(DegreeCapExceeded):
+        check_derivation(d)
 
 
 def test_nilpotency_probe(ctx):
@@ -247,6 +285,16 @@ def test_apply_automorphism_rejects_invalid_pair():
     bad = (FieldElement.rational(-1), FieldElement.zero(RATIONALS))
     with pytest.raises(UnsupportedCase):
         apply_x_fixing_automorphism(bad, y)
+
+
+def test_morphisms_refuse_operands_of_another_context_or_field():
+    ctx = ctx_for("h^3 + h")
+    other = generators(ctx_for("h^2")).x
+    with pytest.raises(FieldMismatch, match="^element lives over a different context$"):
+        apply_derivation(DerivationSpec.diagonal(ctx), other)
+    pair = (FieldElement.one(RATIONALS), FieldElement.zero(FieldDesc(3)))
+    with pytest.raises(FieldMismatch, match="^pair entries live in different fields$"):
+        apply_x_fixing_automorphism(pair, generators(ctx).x)
 
 
 def test_automorphism_commutes_with_scaling():

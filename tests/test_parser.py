@@ -8,7 +8,9 @@ import pytest
 from gha.core import AlgebraElement, Context, generators
 from gha.errors import ParseError
 from gha.field import FieldDesc, FieldElement, RATIONALS
-from gha.parser import MAX_NESTING, Add, Mul, Num, Pow, Sym, parse, parse_element, parse_poly
+from gha.parser import (
+    MAX_NESTING, Add, Mul, Num, Pow, Sym, evaluate, parse, parse_element, parse_poly,
+)
 
 from .helpers import random_element
 
@@ -195,3 +197,8 @@ def test_long_chains_fold_without_recursion(ctx):
     assert parse_element("x" + "^1" * n, ctx) == x
     assert parse_element("-" * (n + 1) + "y", ctx) == -y
     assert parse_poly("h" + "+1" * n) == parse_poly(f"h + {n}")
+
+
+def test_evaluate_takes_only_expression_nodes(ctx):
+    with pytest.raises(TypeError, match="^not an expression node: 'x'$"):
+        evaluate("x", ctx)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gha.core import AlgebraElement, Context, multiply
-from gha.errors import DegreeCapExceeded, NoEmbedding, UnsupportedCase
+from gha.errors import DegreeCapExceeded, FieldMismatch, NoEmbedding, UnsupportedCase
 from gha.field import RATIONALS, FieldDesc, FieldElement, _mul
 from gha.poly import (
     NEG_INF,
@@ -219,6 +219,24 @@ def test_the_kernel_checks_every_row_product_against_the_cap():
         P("h^4 + h").compose(P("h^3 + 2"))
 
 
+def test_power_starts_at_the_lowest_set_bit(monkeypatch):
+    # (h^2+1)^5 = (h^2+1) * ((h^2+1)^2)^2: two squarings and one product,
+    # none of them by the row 1; a scalar power walks the same bits
+    import gha.field
+
+    p, zeta = P("h^2 + 1"), FieldElement.zeta(FieldDesc(3))
+    want_p, want_z = p * p * p * p * p, zeta * zeta * zeta * zeta * zeta * zeta
+    calls = []
+    mul = gha.field._mul
+    monkeypatch.setattr(gha.field, "_mul", lambda a, b, field: calls.append((a, b)) or mul(a, b, field))
+    assert p ** 5 == want_p and len(calls) == 3
+    assert zeta ** 6 == want_z and len(calls) == 6
+    assert p ** 1 is p and zeta ** 1 is zeta
+    assert p ** 0 == Poly.one(RATIONALS) and zeta ** 0 == FieldElement.one(FieldDesc(3))
+    ones = ([1], [1, 0])  # the rows of 1 in Q[h] and in Q(zeta_3)
+    assert len(calls) == 6 and not any(list(row) in ones for pair in calls for row in pair)
+
+
 def test_monic_and_leading():
     p = P("3h^2 - 6")
     assert p.monic() == P("h^2 - 2")
@@ -276,3 +294,17 @@ def test_poly_scalar_coercion():
     assert p * 2 == P("2h + 2")
     assert p + Fraction(1, 2) == P("h + 3/2")
     assert 1 - p == P("-h")
+
+
+def test_polynomials_refuse_foreign_operands():
+    h, h3 = P("h"), parse_poly("h", FieldDesc(3))
+    with pytest.raises(TypeError):
+        h + "a"
+    with pytest.raises(TypeError, match="^compose expects a polynomial$"):
+        h.compose("a")
+    with pytest.raises(ValueError, match="^polynomial exponent must be a nonnegative integer$"):
+        h ** -1
+    with pytest.raises(FieldMismatch, match=r"^cannot combine Q with Q\(zeta_3\)$"):
+        poly_gcd(h, h3)
+    with pytest.raises(FieldMismatch, match=r"^cannot combine Q with Q\(zeta_3\)$"):
+        decompose_as_polynomial_in(h, h3)
