@@ -14,10 +14,10 @@ whose iterates (the normal forms of y^k x^j) are memoized per context,
 together with sigma^k(h), sigma^k(g) and z^k.
 
 A product works on the kernel rows of field: _add_product multiplies two
-coefficient rows with field._mul, never a factor 1, and adds the result
-into an output term on integer rows; each sum becomes a canonical Poly
-once.  The table of y^k x^j sums the same way, and sigma on H_0 is read
-off the product y * theta.
+coefficient rows with field._mul, which copies a factor 1, and adds the
+result into an output term on integer rows; each sum becomes a canonical
+Poly once.  The table of y^k x^j sums the same way, and sigma on H_0 is
+read off the product y * theta.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class Context:
     def __init__(self, f: Poly):
         self.f = f
         self.field = f.field
-        self.n = int(f.degree) if not f.is_zero else 0
+        self.n = int(f.degree) if not f.is_zero else 0  # deg f; the zero polynomial counts as 0
         self._one = Poly.one(f.field)  # the coefficient of x, y and every trivial y^k x^j
         self._sigma_h: dict[int, Poly] = {0: Poly.gen(f.field), 1: f}  # k -> sigma^k(h)
         self._sigma: dict[tuple, Poly] = {}  # (g.num, g.den, k) -> sigma^k(g); ints hash in C
@@ -262,13 +262,8 @@ class AlgebraElement:
 
 
 def _add_product(sums: dict, key: tuple[int, int], a, da: int, b, db: int, field: FieldDesc) -> None:
-    """sums[key] += (a/da) * (b/db) on integer rows; a factor 1, the row (1, 0, ...), is not multiplied."""
-    b_is_one = db == 1 and len(b) == field.degree and b[0] == 1 and b.count(0) == len(b) - 1
-    if b_is_one or (da == 1 and len(a) == field.degree and a[0] == 1 and a.count(0) == len(a) - 1):
-        num, den = (a, da) if b_is_one else (b, db)
-        check_degree(len(num) // field.degree - 1)  # the cap _mul checks, also with no product formed
-    else:
-        num, den = _mul(a, b, field), da * db
+    """sums[key] += (a/da) * (b/db) on integer rows; _mul copies a factor 1 and checks the cap."""
+    num, den = _mul(a, b, field), da * db
     cur = sums.get(key)
     sums[key] = (num, den) if cur is None else _add(cur[0], cur[1], num, den)
 
@@ -344,7 +339,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     rows by (i + p, q): each sum meets the same sigma^q(g') of every right
     term with that j, so it is multiplied by each of them once.  Each
     sigma^p(g) and sigma^q(g') is looked up once per product, and every row
-    product goes through _add_product, which never multiplies by 1.  Each
+    product goes through field._mul, which forms no product by 1.  Each
     output term becomes a canonical Poly once.  The x^(j-1) y^(k-1) term of
     y^k x^j has degree n^(k+j-1) exactly (n > 1), so the cap is checked
     once, for the largest k and j, before any pair is built.

@@ -13,15 +13,15 @@ from kernel results and gives both +, -, *, ==, hash and embed; FieldElement and
 poly.Poly add only what a scalar or a polynomial has of its own.  Printers
 read the rows and write ints _CHUNK digits at a time, below any digit limit.
 
-Every product is one integer convolution.  Two operands of 32 entries or
-more that share a step s > 1, each nonzero only at o, o + s, o + 2s, ...,
-convolve every s-th entry: sigma^k(h) lies in h K[h^s] when s divides
-i - 1 for every power h^i of f, as 2 does for h^3 + h.  Long, dense
-operands of comparable bit size go through Kronecker substitution: packed
-into one decimal number each and multiplied by libmpdec, whose
-number-theoretic transform makes the product subquadratic.  The rest, and
-every product when decimal is the pure-Python _pydecimal, take the
-schoolbook sweep.
+Every product but one by the row 1, which _mul copies, is one integer
+convolution.  Two operands of 32 entries or more that share a step s > 1,
+each nonzero only at o, o + s, o + 2s, ..., convolve every s-th entry:
+sigma^k(h) lies in h K[h^s] when s divides i - 1 for every power h^i of
+f, as 2 does for h^3 + h.  Long, dense operands of comparable bit size go
+through Kronecker substitution: packed into one decimal number each and
+multiplied by libmpdec, whose number-theoretic transform makes the
+product subquadratic.  The rest, and every product when decimal is the
+pure-Python _pydecimal, take the schoolbook sweep.
 
 The degree cap lives here too, in a context variable, as decimal's context
 does.  It bounds the field degree phi(m), checked when FieldDesc.degree is
@@ -359,17 +359,21 @@ def _top(num: list[int], phi: int) -> int:
 
 
 def _mul(a: list[int], b: list[int], field: "FieldDesc") -> list[int]:
-    """Product of packed integer rows: one 1-D convolution, then reduction mod Phi_m.
+    """Product of packed integer rows, always a new list; the degree cap is checked first.
 
-    Rows are spread to stride ha + hb + 1 first, ha and hb the highest zeta
-    powers present in a and b, so that the powers of a product of two rows
-    never reach the next row; only a stride above phi needs reducing.
-    DegreeCapExceeded if the product's degree would pass the cap.
+    A product by the row 1 (1, 0, ...) copies the other operand.  Any other
+    convolves the rows spread to stride ha + hb + 1, ha and hb the highest
+    zeta powers in a and b, so no power of a row product reaches the next
+    row; only a stride above phi needs reducing mod Phi_m.
     """
     if not a or not b:
         return []
     phi = field.degree
     check_degree((len(a) + len(b)) // phi - 2)
+    if len(b) == phi and b[0] == 1 and b.count(0) == phi - 1:
+        return list(a)
+    if len(a) == phi and a[0] == 1 and a.count(0) == phi - 1:
+        return list(b)
     if phi == 1:
         return _convolve(a, b)
     stride = max(_top(a, phi) + _top(b, phi) + 1, 1)

@@ -121,7 +121,7 @@ def classify_locally_finite(d: DerivationSpec) -> FieldElement | None:
     The only candidate for c is the constant coefficient of d(x) at x.  Any
     other d meets the relation check: None for a derivation, else UnsupportedCase.
     """
-    if not d.ctx.f.degree > 1:
+    if d.ctx.n <= 1:
         raise UnsupportedCase("classification of derivations requires deg f > 1")
     at_x = d.im_x.terms.get((1, 0))
     lam = at_x.coeff(0) if at_x is not None else FieldElement.zero(d.ctx.field)
@@ -191,9 +191,9 @@ def automorphism_group(ctx: Context) -> AutGroup:
     support of F.  So the pairs are the k-th roots of unity, k the gcd of
     |i - 1| over that support; F_n != 0, so k divides n - 1.
     """
-    if not ctx.f.degree > 1:
-        raise UnsupportedCase("automorphism group is computed only for deg f > 1")
     n = ctx.n
+    if n <= 1:
+        raise UnsupportedCase("automorphism group is computed only for deg f > 1")
     lead, sub = ctx.f.leading_coeff, ctx.f.coeff(n - 1)
     shifted = shift_polynomial(ctx.f, -sub / (lead * n))
     k = math.gcd(*(i - 1 for i in _support(shifted)))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .core import AlgebraElement, Context, multiply
 from .errors import UnsupportedCase
 from .field import FieldElement, _setattr, _Value, divisors
-from .poly import NEG_INF, Poly, decompose_as_polynomial_in
+from .poly import Poly, decompose_as_polynomial_in
 
 
 class CenterKind(Enum):
@@ -29,9 +29,9 @@ class Classification(_Value):
 
 def classify(ctx: Context) -> Classification:
     """Degree-driven structural flags."""
-    d = ctx.f.degree
+    d = ctx.n
     return Classification(
-        deg_f=0 if d == NEG_INF else int(d),  # the zero polynomial counts as degree 0
+        deg_f=d,
         is_domain=d >= 1,
         is_noetherian=d == 1,
         is_generalized_down_up=d <= 1,
@@ -118,7 +118,7 @@ def center_membership(a: AlgebraElement) -> Poly | None:
     so a central candidate must carry a constant there.
     """
     ctx = a.ctx
-    if ctx.f.degree == 1:
+    if ctx.n == 1:
         raise UnsupportedCase("center membership is not computed when deg f = 1")
     if any(i != k for (i, k) in a.terms):
         return None
@@ -137,7 +137,7 @@ def zh_membership(a: AlgebraElement) -> dict[int, Poly] | None:
     decomposing the top diagonal coefficient as a polynomial in sigma^K(h).
     """
     ctx = a.ctx
-    if not ctx.f.degree > 1:
+    if ctx.n <= 1:
         raise UnsupportedCase("membership in C[z, h] is decided only for deg f > 1")
     if any(i != k for (i, k) in a.terms):
         raise UnsupportedCase("element is not in the degree-0 subalgebra")
@@ -190,6 +190,6 @@ def admissible_generator_gradings(ctx: Context) -> GradingFamily:
     (including the monomial case f = a*h^n), so d_h = 0; then
     y*x - x*y = f(h) - h gives d_x + d_y = 0.
     """
-    if not ctx.f.degree > 1:
+    if ctx.n <= 1:
         raise UnsupportedCase("grading analysis requires deg f > 1")
     return GradingFamily()

@@ -740,3 +740,14 @@ def _readme_examples():
 @pytest.mark.parametrize("argv,expected", _readme_examples(), ids=lambda v: None)
 def test_readme_examples(capsys, argv, expected):
     assert invoke(capsys, *argv) == (0, expected, "")
+
+
+def test_readme_python_example(capsys):
+    # the one ```python block of README.md runs, and each print writes its
+    # comment's text up to the first ':'
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1].split(":", 1)[0]
+                for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(expected) == 3 and capsys.readouterr().out.splitlines() == expected

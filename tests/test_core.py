@@ -517,70 +517,72 @@ def test_warm_products_on_the_tower_support_equal_cold_ones(ftxt, field):
 
 
 def test_warm_product_cost_is_pinned(monkeypatch):
-    # counts of kernel products and sigma lookups, not a clock: term by term, one product on
+    # counts of convolutions and sigma lookups, not a clock: term by term, one product on
     # this support made 86 of each; each left factor and image once per product makes 49 and 24,
-    # and leaving out every factor 1 (x's, y's, the leading terms of y^k x^j) 27 row products
-    import gha.core
+    # and leaving out every factor 1 (x's, y's, the leading terms of y^k x^j) 27 convolutions
+    import gha.field
 
     rng = random.Random(9)
     ctx = ctx_for("h^3 + h")
     a, b = tower_element(rng, ctx), tower_element(rng, ctx)
     expected = multiply(a, b)  # warms the memo
-    counts = {"_mul": 0, "sigma": 0}
-    mul, sigma = gha.core._mul, Context.sigma
+    counts = {"_convolve": 0, "sigma": 0}
+    convolve, sigma = gha.field._convolve, Context.sigma
 
-    def counted_mul(*args):
-        counts["_mul"] += 1
-        return mul(*args)
+    def counted_convolve(*args):
+        counts["_convolve"] += 1
+        return convolve(*args)
 
     def counted_sigma(self, g, k):
         counts["sigma"] += 1
         return sigma(self, g, k)
 
-    monkeypatch.setattr(gha.core, "_mul", counted_mul)
+    monkeypatch.setattr(gha.field, "_convolve", counted_convolve)
     monkeypatch.setattr(Context, "sigma", counted_sigma)
     assert multiply(a, b) == expected
-    assert counts["_mul"] <= 27 and counts["sigma"] <= 24, counts
+    assert counts["_convolve"] <= 27 and counts["sigma"] <= 24, counts
 
 
 def test_warm_sigma_h0_multiplies_no_factor_1(monkeypatch):
     # sigma_h0 reads y * theta: neither y's coefficient 1 nor the leading coefficient 1 of a
-    # y^k x^j is multiplied, so only the coefficients of theta's two y-terms meet a tower gap
-    import gha.core
+    # y^k x^j is convolved, so only the coefficients of theta's two y-terms meet a tower gap
+    import gha.field
 
     ctx = ctx_for("h^3 + h")
     theta = parse_element("x*h*y + x^2*(h+1)*y^2 + 3", ctx)
     expected = sigma_h0(theta)  # warms the memo
-    calls, mul = [], gha.core._mul
+    calls, convolve = [], gha.field._convolve
 
-    def counted_mul(*args):
+    def counted_convolve(*args):
         calls.append(args)
-        return mul(*args)
+        return convolve(*args)
 
-    monkeypatch.setattr(gha.core, "_mul", counted_mul)
+    monkeypatch.setattr(gha.field, "_convolve", counted_convolve)
     assert sigma_h0(theta) == expected
     assert len(calls) <= 2, len(calls)
 
 
 def test_add_product_multiplies_no_factor_1(monkeypatch):
-    import gha.core
+    import gha.field
     from gha.core import _add_product
 
-    calls, mul = [], gha.core._mul
-    monkeypatch.setattr(gha.core, "_mul", lambda *args: calls.append(args) or mul(*args))
+    calls, convolve = [], gha.field._convolve
+    monkeypatch.setattr(gha.field, "_convolve", lambda *args: calls.append(args) or convolve(*args))
     z3 = FieldDesc(3)
     g = (1, 2, 0, 3)  # (1 + 2 zeta) + 3 zeta h over 5, rows of phi(3) = 2
-    sums: dict = {}
-    _add_product(sums, (0, 0), (1, 0), 1, g, 5, z3)
-    _add_product(sums, (0, 0), g, 5, (1, 0), 1, z3)
-    assert sums == {(0, 0): ([2, 4, 0, 6], 5)} and calls == []
-    # 1 + zeta, 1/2, zeta, -1 and 1 + h are not the row 1: each is multiplied
-    for row, den in [((1, 1), 1), ((1, 0), 2), ((0, 1), 1), ((-1, 0), 1), ((1, 0, 1, 0), 1)]:
-        for left, right in [((row, den), (g, 5)), ((g, 5), (row, den))]:
+    # the row 1 over 1 or over 2, on either side, is copied: no convolution
+    for den in (1, 2):
+        sums: dict = {}
+        _add_product(sums, (0, 0), (1, 0), den, g, 5, z3)
+        _add_product(sums, (0, 0), g, 5, (1, 0), den, z3)
+        assert sums == {(0, 0): ([2, 4, 0, 6], 5 * den)} and calls == []
+    # 1 + zeta, zeta, -1 and 1 + h are not the row 1: each forms one convolution
+    for row in [(1, 1), (0, 1), (-1, 0), (1, 0, 1, 0)]:
+        for left, right in [((row, 1), (g, 5)), ((g, 5), (row, 1))]:
             sums, before = {}, len(calls)
             _add_product(sums, (1, 2), *left, *right, z3)
             assert len(calls) == before + 1
-            want = Poly._from_ints(z3, row, den) * Poly._from_ints(z3, g, 5)
+            want = Poly._from_ints(z3, row, 1) * Poly._from_ints(z3, g, 5)
             assert Poly._from_ints(z3, *sums[(1, 2)]) == want
 
 

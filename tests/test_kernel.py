@@ -182,9 +182,10 @@ def test_compose_of_a_tower_entry_with_itself_counts_its_convolutions(monkeypatc
     # sigma^4(h) for f = h^3 + h has 82 coefficients: ten Horner leaves of 8
     # (7 products each) and one of 2 (1 product), N^8 by three squarings,
     # then 5 + 3 + 1 + 1 joins with N^8, N^16, N^32, N^64 between three more
-    # squarings: 87 products.  Every operand lies in h^o K[h^2], so each
-    # product of two operands of 32 entries or more convolves every other
-    # entry, one more call: all but the first product of each leaf, 76.
+    # squarings: 87 products.  The top leaf starts at the leading 1, so its
+    # product copies N: 86 convolutions.  Every operand lies in h^o K[h^2], so
+    # each product of two operands of 32 entries or more convolves every other
+    # entry, one more call: all but the first product of each leaf of 8, 76.
     f = parse_poly("h^3 + h", FieldDesc(1))
     s = Context(f).sigma_h(4)
     calls = []  # length of the shorter operand
@@ -198,8 +199,27 @@ def test_compose_of_a_tower_entry_with_itself_counts_its_convolutions(monkeypatc
     out = s.compose(s)
     monkeypatch.undo()
     assert out == Context(f).sigma_h(8)
-    assert len(calls) == 87 + 76
-    assert sum(n < 32 for n in calls) == 11
+    assert len(calls) == 86 + 76
+    assert sum(n < 32 for n in calls) == 10
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_product_by_the_row_1_is_a_copy(monkeypatch, m):
+    # _mul is the one place that knows the factor 1: on either side, it returns
+    # an equal new list and forms no convolution, as does a Poly times 1/2
+    desc = FieldDesc(m)
+    phi = desc.degree
+    one = (1,) + (0,) * (phi - 1)
+    g = [v for j in range(3) for v in (j - 1, 2)[:phi]]  # three rows, nonzero
+    P, want = Poly._from_ints(desc, g, 5), Poly._from_ints(desc, g, 10)
+    calls = []
+    convolve = field._convolve
+    monkeypatch.setattr(field, "_convolve", lambda a, b: calls.append((a, b)) or convolve(a, b))
+    for a, b in [(one, g), (g, one)]:
+        out = field._mul(a, b, desc)
+        assert out == g and out is not g and type(out) is list
+    assert P * Fraction(1, 2) == want and P * FieldElement.rational(Fraction(1, 2), desc) == want
+    assert calls == []
 
 
 @KERNEL
