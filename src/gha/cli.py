@@ -74,34 +74,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nf", help="normal form of an expression")
     p.add_argument("expr")
+    p.set_defaults(run=_cmd_nf)
 
     p = sub.add_parser("commutator", help="normal form of [e1, e2]")
     p.add_argument("expr1")
     p.add_argument("expr2")
+    p.set_defaults(run=_cmd_commutator)
 
-    sub.add_parser("classify", help="structural flags of H(f)")
+    sub.add_parser("classify", help="structural flags of H(f)").set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("center", help="write an element as a polynomial in z")
     p.add_argument("expr")
+    p.set_defaults(run=_cmd_center)
 
     p = sub.add_parser("zh-member", help="write an element as sum_k p_k(h) z^k")
     p.add_argument("expr")
+    p.set_defaults(run=_cmd_zh_member)
 
     p = sub.add_parser("noetherian", help="ascending-chain witness reports")
     p.add_argument("--max-n", type=_count(0), required=True)
+    p.set_defaults(run=_cmd_noetherian)
 
-    sub.add_parser("gradings", help="admissible generator gradings")
+    sub.add_parser("gradings", help="admissible generator gradings").set_defaults(run=_cmd_gradings)
 
-    sub.add_parser("aut", help="automorphism group")
+    sub.add_parser("aut", help="automorphism group").set_defaults(run=_cmd_aut)
 
-    for name in ("derivation-check", "derivation-classify"):
+    for name, handler in (("derivation-check", _cmd_derivation_check),
+                          ("derivation-classify", _cmd_derivation_classify)):
         p = sub.add_parser(name, help=f"{name.split('-')[1]} a candidate derivation")
         p.add_argument("--dx", required=True, metavar="EXPR", help="image of x")
         p.add_argument("--dy", required=True, metavar="EXPR", help="image of y")
         p.add_argument("--dh", required=True, metavar="EXPR", help="image of h")
+        p.set_defaults(run=handler)
 
     p = sub.add_parser("sigma", help="apply sigma on the degree-0 subalgebra")
     p.add_argument("expr")
+    p.set_defaults(run=_cmd_sigma)
 
     return parser
 
@@ -270,21 +278,6 @@ def _cmd_sigma(ctx, args):
     return _element_out(args, sigma_h0(parse_element(args.expr, ctx)))
 
 
-_COMMANDS = {
-    "nf": _cmd_nf,
-    "commutator": _cmd_commutator,
-    "classify": _cmd_classify,
-    "center": _cmd_center,
-    "zh-member": _cmd_zh_member,
-    "noetherian": _cmd_noetherian,
-    "gradings": _cmd_gradings,
-    "aut": _cmd_aut,
-    "derivation-check": _cmd_derivation_check,
-    "derivation-classify": _cmd_derivation_classify,
-    "sigma": _cmd_sigma,
-}
-
-
 def run(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -299,7 +292,7 @@ def _run_command(args) -> int:
     try:
         f = parse_poly(args.f, args.field)
         ctx = Context(f)
-        out = _COMMANDS[args.command](ctx, args)
+        out = args.run(ctx, args)
         print(_json_text(out) if args.json else out)
         return 0
     except ParseError as exc:
@@ -307,6 +300,9 @@ def _run_command(args) -> int:
         return 2
     except (GhaError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

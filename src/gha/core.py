@@ -367,8 +367,6 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 _add_product(lefts, (i + p, q), sg.num, sg.den, w.num, w.den, field)
         for (s, q), (lnum, lden) in lefts.items():
             lnum = _trim(lnum, phi)
-            if not lnum:
-                continue
             for l, gh in column:
                 sgh = right.get((j, l, q)) if q else gh
                 if sgh is None:

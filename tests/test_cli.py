@@ -20,6 +20,7 @@ from gha.parser import parse_element, parse_poly
 from gha.poly import Poly
 from gha.poly import degree_cap
 
+from . import cli_corpus
 from .helpers import digits
 
 
@@ -191,6 +192,9 @@ def test_syntax_error_exit_code(capsys):
     code, _, err = invoke(capsys, "--f", "h^2", "nf", "y*(")
     assert code == 2
     assert "syntax error at offset 3" in err
+    code, out, err = invoke(capsys, "--f", "h^2", "nf", "1/x")
+    assert (code, out) == (2, "")
+    assert err == "error: syntax error at offset 2: expected integer denominator, found 'x'"
 
 
 def test_bad_f_polynomial_exit_code(capsys):
@@ -255,18 +259,19 @@ def test_sigma_is_refused_at_the_cap_of_y_times_theta(capsys):
 
 
 def test_degree_cap_option_holds_for_its_own_run_only(capsys, monkeypatch):
-    # two runs in threads, one with --degree-cap 10, inside nf h^50 at once
+    # two runs in threads, one with --degree-cap 10, inside nf h^50 at once:
+    # nf parses (and so computes) its expression after the run sets its cap
     entered, computed = threading.Barrier(2, timeout=60), threading.Barrier(2, timeout=60)
-    nf = cli._COMMANDS["nf"]
+    parse = cli.parse_element
 
-    def nf_in_step(ctx, args):
+    def parse_in_step(text, ctx):
         entered.wait()  # both runs have set their cap, or not
         try:
-            return nf(ctx, args)
+            return parse(text, ctx)
         finally:
             computed.wait()  # neither run returns before both have computed
 
-    monkeypatch.setitem(cli._COMMANDS, "nf", nf_in_step)
+    monkeypatch.setattr(cli, "parse_element", parse_in_step)
     before = degree_cap()
     options = {"capped": ["--degree-cap", "10"], "free": []}
     codes = {}
@@ -326,6 +331,26 @@ def test_main_exits_quietly_when_the_reader_closes_stdout():
         err = proc.stderr.read()
         assert proc.wait() == 1
     assert err == b""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_running_out_of_memory_exits_1_with_one_line():
+    # the child limits its own address space to 300 MB before it imports gha:
+    # 3,000,001 witness lines, or as many dicts, do not fit, and 4 lines do
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    limited = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20)); "
+               "from gha.cli import main; sys.argv[0] = 'gha'; sys.exit(main())")
+
+    def child(*argv):
+        proc = subprocess.run([sys.executable, "-c", limited, "--f", "h^2", *argv],
+                              capture_output=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    for fmt in ([], ["--json"]):
+        assert child(*fmt, "noetherian", "--max-n", "3000000") == (1, b"", b"error: out of memory\n")
+    code, out, err = child("noetherian", "--max-n", "3")
+    assert (code, err) == (0, b"") and out.count(b"\n") == 4
 
 
 def test_deep_nesting_is_syntax_error(capsys):
@@ -592,6 +617,14 @@ GOLDEN = [
 def test_golden_output(capsys, argv, text, doc):
     assert invoke(capsys, *argv) == (0, text, "")
     assert invoke(capsys, "--json", *argv) == (0, doc, "")
+
+
+def test_every_fourth_request_of_the_output_corpus_prints_its_digest():
+    # tests/data/cli_corpus.json: (exit code, stdout, stderr) of each request
+    # as sha256; a mismatch names its argv, and `python -m tests.cli_corpus
+    # --check` runs the whole corpus
+    corpus = cli_corpus.load()
+    assert cli_corpus.mismatches(corpus, corpus["requests"][::4]) == []
 
 
 SEVENS = "7" * 5000  # longer than the 4300 digits str() and int() allow by default

@@ -164,6 +164,12 @@ def test_multiply_matches_free_rewriter():
         a = random_element(rng, ctx, max_ik=3, max_degree=2)
         b = random_element(rng, ctx, max_ik=3, max_degree=2)
         assert multiply(a, b) == oracle_product(a, b)
+    # over h + 1 the left sums of (x*y - 1)*x at (1, 0) cancel:
+    # (sigma(h) - h) + sigma(-1) = 1 - 1
+    ctx = ctx_for("h + 1")
+    a, b = parse_element("x*y - 1", ctx), parse_element("x", ctx)
+    assert multiply(a, b) == oracle_product(a, b)
+    assert multiply(a, b).to_text() == "x^2 * (1) * y^1"
 
 
 @pytest.mark.parametrize("m", [3, 4])
