@@ -17,11 +17,17 @@ Every product but one by the row 1, which _mul copies, is one integer
 convolution.  Two operands of 32 entries or more that share a step s > 1,
 each nonzero only at o, o + s, o + 2s, ..., convolve every s-th entry:
 sigma^k(h) lies in h K[h^s] when s divides i - 1 for every power h^i of
-f, as 2 does for h^3 + h.  Long, dense operands of comparable bit size go
-through Kronecker substitution: packed into one decimal number each and
+f, as 2 does for h^3 + h.  A convolution then takes one of three paths.
+Packed words: when every entry of the product fits a signed 64-bit word,
+each operand becomes one int through struct-packed machine words and the
+two are multiplied once (binary Kronecker substitution), all in C; most
+products over Q(zeta_m) of small coordinates go this way.  Decimal: long,
+dense operands of comparable bit size, too wide for a word or both
+thousands of entries long, are packed into one decimal number each and
 multiplied by libmpdec, whose number-theoretic transform makes the
-product subquadratic.  The rest, and every product when decimal is the
-pure-Python _pydecimal, take the schoolbook sweep.
+product subquadratic; with the pure-Python _pydecimal this path is left
+out.  The schoolbook sweep: short operands, and wide ones where decimal
+does not pay.
 
 The degree cap lives here too, in a context variable, as decimal's context
 does.  It bounds the field degree phi(m), checked when FieldDesc.degree is
@@ -41,6 +47,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice
+from struct import pack, unpack
 
 from .errors import DegreeCapExceeded, FieldMismatch, NoEmbedding, UnsupportedCase
 
@@ -217,20 +224,24 @@ def _add(a: list[int], da: int, b: list[int], db: int) -> tuple[list[int], int]:
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Integer convolution.
+    """Integer convolution, by one of three paths.
 
     When both operands have 32 entries or more and each lies in t^o K[t^s]
     for one common step s > 1 (its nonzero entries at o, o + s, o + 2s, ...),
-    the convolution of every s-th entry, written back at stride s.  Then by
-    Kronecker substitution (_convolve_ks) where _kronecker_pays finds it
-    cheaper, from both lengths, their nonzero entries and their bit sizes;
-    otherwise one slice-wise sweep of the longer operand per nonzero entry
-    of the shorter.  The sweep also serves when decimal has no libmpdec.
-    Shorter operands go straight to the sweep: there neither check pays.
+    first the convolution of every s-th entry, written back at stride s.
+    Otherwise, with a shorter operand of _WORD_LENGTH entries or more:
+    packed words (_convolve_words) when every entry of the product fits a
+    signed 64-bit word, and decimal (_convolve_ks, libmpdec's transform)
+    where _kronecker_pays finds it cheaper than the sweep, for wider
+    products and for word-sized ones whose operands both have _NTT_LENGTH
+    entries or more.  The rest, shorter operands among them, take the
+    schoolbook sweep: one slice of the longer operand per nonzero entry of
+    the shorter.  Without libmpdec, only decimal is left out.
     """
     if len(a) < len(b):
         a, b = b, a
-    if len(b) >= 32:
+    lb = len(b)
+    if lb >= 32:
         # the first three nonzero positions of each: a mixed operand shows step 1 here
         heads = [list(islice(compress(range(len(v)), v), 3)) for v in (a, b)]
         if all(heads):  # neither is all zero
@@ -244,14 +255,50 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
                 out = [0] * (len(a) + len(b) - 1)
                 out[oa + ob:oa + ob + s * len(short):s] = short
                 return out
-        if _KRONECKER is not None and _kronecker_pays(a, b):
+    if lb >= _WORD_LENGTH:
+        ba, bb = _bits(a), _bits(b)
+        need = ba + bb + lb.bit_length() + 1  # bits that hold twice any entry of the product
+        if (lb >= 32 and _KRONECKER is not None and (need >= 64 or lb >= _NTT_LENGTH)
+                and _kronecker_pays(a, b, ba, bb)):
             return _convolve_ks(a, b)
+        if need < 64:
+            return _convolve_words(a, b, need)
     n = len(a)
-    out = [0] * (n + len(b) - 1)
+    out = [0] * (n + lb - 1)
     for j, y in enumerate(b):
         if y:
             out[j:j + n] = [s + y * x for s, x in zip(out[j:j + n], a)]
     return out
+
+
+_WORD_LENGTH = 7  # shorter operands from this length on are packed in words; below, the sweep is faster
+_NTT_LENGTH = 6000  # from this shorter length on, libmpdec's transform can beat packed words
+
+
+# by need.bit_length(): (struct code, width in bits, one little-endian slot with only its top
+# bit set) of the narrowest word of 2^i bits or more, which exceeds need bits
+_WORDS = tuple((code, width, (1 << (width - 1)).to_bytes(width // 8, "little"))
+               for code, width in [("b", 8)] * 4 + [("h", 16), ("i", 32), ("q", 64)])
+
+
+def _convolve_words(a: list[int], b: list[int], need: int) -> list[int]:
+    """Integer convolution by binary Kronecker substitution into one int product.
+
+    Each list is packed by struct into little-endian slots of the narrowest
+    machine word above need bits, and the bytes are read as one int; a
+    negative entry is stored in two's complement, so twice the slot's top
+    bit, where set, is taken off.  Adding the top bit S of every slot to the
+    product puts each slot, entry + 2^(width - 1), in [0, 2^width); flipping
+    S back leaves the slots in two's complement, which struct reads.  Every
+    step runs in C, and no coefficient becomes text.
+    """
+    code, width, top = _WORDS[need.bit_length()]
+    n = len(a) + len(b) - 1
+    mask = int.from_bytes(top * n, "little")  # S over the product's n slots, and so over each operand's
+    ua = int.from_bytes(pack(f"<{len(a)}{code}", *a), "little")
+    ub = int.from_bytes(pack(f"<{len(b)}{code}", *b), "little")
+    product = (ua - ((ua & mask) << 1)) * (ub - ((ub & mask) << 1))
+    return list(unpack(f"<{n}{code}", ((product + mask) ^ mask).to_bytes(n * width // 8, "little")))
 
 
 def _bits(v: list[int]) -> int:
@@ -268,9 +315,13 @@ def _slot_digits(ba: int, bb: int, shorter: int) -> int:
     return (ba + bb + shorter.bit_length() + 1) * 30103 // 100000 + 1
 
 
-def _kronecker_pays(a: list[int], b: list[int]) -> bool:
+def _kronecker_pays(a: list[int], b: list[int], ba: int, bb: int) -> bool:
     """Whether _convolve_ks is cheaper than the schoolbook sweep, for len(a) >= len(b).
 
+    ba and bb are _bits(a) and _bits(b), which _convolve has computed.
+    _convolve asks only for operands that packed words leave: products too
+    wide for a 64-bit slot, and operands both _NTT_LENGTH entries long or
+    more, where libmpdec's transform can beat the packed int product.
     A cost model fitted on 1,050 products of sigma^k(h) rows and random rows
     and on the 2,084 products of 16 or more entries in one round of each
     benchmark workload (CPython 3.11, libmpdec 2.5.1), in units of about
@@ -286,7 +337,6 @@ def _kronecker_pays(a: list[int], b: list[int]) -> bool:
     la, lb = len(a), len(b)
     if (nb := lb - b.count(0)) < 32:
         return False
-    ba, bb = _bits(a), _bits(b)
     sweep = nb * (71 * la + (la - a.count(0)) * max(1, (ba + 29) // 30) * max(1, (bb + 29) // 30))
     return 39 * (la + lb) * (_slot_digits(ba, bb, lb) + 22) < sweep
 

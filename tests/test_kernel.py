@@ -353,25 +353,133 @@ def test_kronecker_convolution_matches_schoolbook(a, b):
 
 @NEEDS_LIBMPDEC
 def test_kronecker_path_is_chosen_by_operand_sizes(monkeypatch):
-    calls = []
-
-    def recording(a, b):
-        calls.append((len(a), len(b)))
-        return _convolve_ks(a, b)
-
-    monkeypatch.setattr(field, "_convolve_ks", recording)
+    decimal, words = [], []
+    convolve_ks, convolve_words = field._convolve_ks, field._convolve_words
+    monkeypatch.setattr(field, "_convolve_ks", lambda a, b: (
+        decimal.append((len(a), len(b))) or convolve_ks(a, b)))
+    monkeypatch.setattr(field, "_convolve_words", lambda a, b, need: (
+        words.append((len(a), len(b))) or convolve_words(a, b, need)))
     rng = random.Random(3)
-    balanced = [[rng.randint(-99, 99) for _ in range(300)] for _ in range(2)]
+    balanced = [[rng.randint(-10 ** 40, 10 ** 40) for _ in range(300)] for _ in range(2)]  # past a word
+    small = [[rng.randint(-99, 99) for _ in range(300)] for _ in range(2)]
     short = [rng.randint(-99, 99) for _ in range(3)]
     wide = [rng.getrandbits(3000) for _ in range(300)]
     assert field._convolve(*balanced) == ref_convolve(*balanced)
-    assert calls == [(300, 300)]
+    assert decimal == [(300, 300)]
     assert field._convolve(balanced[0], short) == ref_convolve(balanced[0], short)
     assert field._convolve(wide, short) == ref_convolve(wide, short)
-    assert calls == [(300, 300)]
+    assert decimal == [(300, 300)] and words == []
+    # entries of +-99: every entry of the product fits a word, which beats decimal up to _NTT_LENGTH
+    assert field._convolve(*small) == ref_convolve(*small)
+    assert decimal == [(300, 300)] and words == [(300, 300)]
+    monkeypatch.setattr(field, "_NTT_LENGTH", 300)
+    assert field._convolve(*small) == ref_convolve(*small)
+    assert decimal == [(300, 300)] * 2 and words == [(300, 300)]
     monkeypatch.setattr(field, "_KRONECKER", None)  # decimal without libmpdec
     assert field._convolve(*balanced) == ref_convolve(*balanced)
-    assert calls == [(300, 300)]
+    assert field._convolve(*small) == ref_convolve(*small)
+    assert decimal == [(300, 300)] * 2 and words == [(300, 300)] * 2
+
+
+# --- packed words ----------------------------------------------------------------------
+
+# need on either side of each slot width: the slot is the narrowest above need bits,
+# and one of need - 1 bits already overflows
+SLOT_EDGES = [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+
+
+@st.composite
+def word_rows(draw):
+    """(a, b, need): two rows whose product needs need bits, drawn from SLOT_EDGES.
+
+    need = bits(a) + bits(b) + bit_length(len(b)) + 1 for len(a) >= len(b);
+    each row holds an entry of +-(2^k - 1), its k bits, and is mixed,
+    extreme (every entry +-(2^k - 1)) or all negative (every entry
+    -(2^k - 1): two such rows give the largest entries of a product).
+    """
+    need = draw(st.sampled_from(SLOT_EDGES))
+    lb = draw(st.sampled_from([1, 2, 6, 7, 8, 31, 32, 33, 64]))
+    la = lb + draw(st.sampled_from([0, 1, 13, 100]))
+    room = need - 1 - lb.bit_length()
+    assume(room >= 2)
+    ka = draw(st.integers(1, room - 1))
+
+    def row(n, k):
+        top = (1 << k) - 1
+        kind = draw(st.sampled_from(["mixed", "extreme", "negative"]))
+        if kind == "negative":
+            return [-top] * n
+        entries = st.sampled_from([top, -top]) if kind == "extreme" else st.integers(-top, top)
+        out = draw(st.lists(entries, min_size=n, max_size=n))
+        out[draw(st.integers(0, n - 1))] = top
+        return out
+
+    return row(la, ka), row(lb, room - ka), need
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_rows(), st.booleans())
+@example(([-1] * 7, [-3] * 7, 7), False)
+@example(([-3] * 7, [-7] * 7, 9), False)  # entries of 147: past a signed byte
+@example(([-(1 << 31) + 1] * 40, [-(1 << 25) + 1] * 33, 63), False)
+@example(([(1 << 31) - 1] * 40, [-(1 << 26) + 1] * 33, 64), True)
+def test_word_convolution_matches_schoolbook_at_every_slot_edge(rows, zero):
+    # packed words take the narrowest slot above need bits, and none from 64 on
+    a, b, need = rows
+    assert field._bits(a) + field._bits(b) + len(b).bit_length() + 1 == need
+    if zero:  # an all-zero, untrimmed operand; the slots of need bits still hold its product
+        b = [0] * len(b)
+    want = ref_convolve(a, b)
+    if need < 64:
+        assert field._convolve_words(a, b, need) == want
+        assert field._convolve_words(b, a, need) == want
+    with pytest.MonkeyPatch.context() as patch:
+        for kronecker in (field._KRONECKER, None):  # and decimal without libmpdec
+            patch.setattr(field, "_KRONECKER", kronecker)
+            assert field._convolve(a, b) == want
+            assert field._convolve(b, a) == want
+
+
+def test_cyclotomic_product_convolves_in_words(monkeypatch):
+    # a product of two elements over Q(zeta_7) as the cyclotomic benchmark
+    # draws them: six terms (i, k), each a polynomial of degree 1 in h whose
+    # coordinates are +-1..3 over 1..3.  Every convolution whose shorter
+    # operand has _WORD_LENGTH entries or more and whose product fits a word
+    # takes packed words, here every one of them; a clock-free guard of the
+    # gain, as the sweep takes several times as long on these rows
+    q7 = FieldDesc(7)
+
+    def operands():  # in a new Context, so no sigma is remembered from the last product
+        ctx = Context(parse_poly("h^3+zeta*h", q7))
+        rng = random.Random(7)
+
+        def scalar():
+            return FieldElement(q7, [Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3))
+                                     for _ in range(6)])
+
+        support = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
+        return [AlgebraElement(ctx, {key: Poly(q7, [scalar(), scalar()]) for key in support})
+                for _ in range(2)]
+
+    shapes, eligible, packed = [], [], []
+    convolve, convolve_words = field._convolve, field._convolve_words
+
+    def recording(a, b):
+        lb = min(len(a), len(b))
+        shapes.append(sorted((len(a), len(b))))
+        if lb >= field._WORD_LENGTH and field._bits(a) + field._bits(b) + lb.bit_length() + 1 < 64:
+            eligible.append(shapes[-1])
+        return convolve(a, b)
+
+    x, y = operands()
+    monkeypatch.setattr(field, "_convolve", recording)
+    monkeypatch.setattr(field, "_convolve_words", lambda a, b, need: (
+        packed.append(sorted((len(a), len(b)))) or convolve_words(a, b, need)))
+    want = x * y
+    assert packed == eligible == shapes and len(shapes) > 50
+    x, y = operands()
+    monkeypatch.setattr(field, "_WORD_LENGTH", 10 ** 9)  # every product by the sweep
+    assert x * y == want and len(packed) == len(eligible)
 
 
 def _stepped(rng, length, offset, s, size):
@@ -387,9 +495,10 @@ def _stepped(rng, length, offset, s, size):
 @pytest.mark.parametrize("length", [31, 32, 33, 200])
 def test_convolution_by_step_matches_schoolbook(monkeypatch, length, pays):
     # operands in t^o K[t^s] convolve every s-th entry when both have 32
-    # entries or more; the compressed product takes the sweep or, long
-    # enough, the substitution _kronecker_pays is forced to choose here
-    monkeypatch.setattr(field, "_kronecker_pays", lambda a, b: pays)
+    # entries or more; the compressed product of 700-digit entries takes
+    # the sweep or, long enough, the substitution _kronecker_pays is forced
+    # to choose here, and that of one-digit entries packed words
+    monkeypatch.setattr(field, "_kronecker_pays", lambda a, b, ba, bb: pays)
     calls = []
     convolve = field._convolve
 
