@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import AlgebraElement, Context, commutator, sigma_h0
 from .errors import GhaError, ParseError
-from .field import RATIONALS, FieldDesc, _int_text, _ratio_text, set_degree_cap
+from .field import RATIONALS, FieldDesc, _int_text, _ratio_text, _text_int, set_degree_cap
 from .morphisms import (
     DerivationSpec,
     automorphism_group,
@@ -38,8 +38,8 @@ def _field_desc(text: str) -> FieldDesc:
     if text == "Q":
         return RATIONALS
     m = re.fullmatch(r"Q\(zeta_(\d+)\)", text)
-    if m and int(m.group(1)) >= 1:
-        return FieldDesc(int(m.group(1)))
+    if m and (index := _text_int(m.group(1))) >= 1:
+        return FieldDesc(index)
     raise argparse.ArgumentTypeError(f"unknown field {text!r}; use Q or Q(zeta_m)")
 
 

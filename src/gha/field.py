@@ -22,12 +22,13 @@ Packed words: when every entry of the product fits a signed 64-bit word,
 each operand becomes one int through struct-packed machine words and the
 two are multiplied once (binary Kronecker substitution), all in C; most
 products over Q(zeta_m) of small coordinates go this way.  Decimal: long,
-dense operands of comparable bit size, too wide for a word or both
-thousands of entries long, are packed into one decimal number each and
-multiplied by libmpdec, whose number-theoretic transform makes the
-product subquadratic; with the pure-Python _pydecimal this path is left
-out.  The schoolbook sweep: short operands, and wide ones where decimal
-does not pay.
+dense operands of comparable bit size, too wide for a word, are packed
+into one decimal number each and multiplied by libmpdec, whose
+number-theoretic transform makes the product subquadratic; with the
+pure-Python _pydecimal this path is left out.  The schoolbook sweep:
+short operands, and wide ones where decimal does not pay.  One bound,
+the bits that hold twice any entry of the product, chooses between the
+two packed paths and sizes the slots of both.
 
 The degree cap lives here too, in a context variable, as decimal's context
 does.  It bounds the field degree phi(m), checked when FieldDesc.degree is
@@ -229,14 +230,14 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     When both operands have 32 entries or more and each lies in t^o K[t^s]
     for one common step s > 1 (its nonzero entries at o, o + s, o + 2s, ...),
     first the convolution of every s-th entry, written back at stride s.
-    Otherwise, with a shorter operand of _WORD_LENGTH entries or more:
-    packed words (_convolve_words) when every entry of the product fits a
-    signed 64-bit word, and decimal (_convolve_ks, libmpdec's transform)
-    where _kronecker_pays finds it cheaper than the sweep, for wider
-    products and for word-sized ones whose operands both have _NTT_LENGTH
-    entries or more.  The rest, shorter operands among them, take the
-    schoolbook sweep: one slice of the longer operand per nonzero entry of
-    the shorter.  Without libmpdec, only decimal is left out.
+    Otherwise, with a shorter operand of _WORD_LENGTH entries or more,
+    need, the bits that hold twice any entry of the product, decides:
+    packed words (_convolve_words) when need < 64, so every entry fits a
+    signed 64-bit word, and for wider products decimal (_convolve_ks,
+    libmpdec's transform) where _kronecker_pays finds it cheaper than the
+    sweep.  The rest, shorter operands among them, take the schoolbook
+    sweep: one slice of the longer operand per nonzero entry of the
+    shorter.  Without libmpdec, only decimal is left out.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -258,11 +259,10 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     if lb >= _WORD_LENGTH:
         ba, bb = _bits(a), _bits(b)
         need = ba + bb + lb.bit_length() + 1  # bits that hold twice any entry of the product
-        if (lb >= 32 and _KRONECKER is not None and (need >= 64 or lb >= _NTT_LENGTH)
-                and _kronecker_pays(a, b, ba, bb)):
-            return _convolve_ks(a, b)
         if need < 64:
             return _convolve_words(a, b, need)
+        if _KRONECKER is not None and _kronecker_pays(a, b, ba, bb, need):
+            return _convolve_ks(a, b, need)
     n = len(a)
     out = [0] * (n + lb - 1)
     for j, y in enumerate(b):
@@ -272,7 +272,6 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 
 
 _WORD_LENGTH = 7  # shorter operands from this length on are packed in words; below, the sweep is faster
-_NTT_LENGTH = 6000  # from this shorter length on, libmpdec's transform can beat packed words
 
 
 # by need.bit_length(): (struct code, width in bits, one little-endian slot with only its top
@@ -306,22 +305,17 @@ def _bits(v: list[int]) -> int:
     return max(max(v), -min(v)).bit_length()
 
 
-def _slot_digits(ba: int, bb: int, shorter: int) -> int:
-    """Digits w with 10^w > 2^(ba + bb + bit_length(shorter) + 1), twice any entry's bound.
-
-    An entry of a product of ba-bit by bb-bit entries sums at most shorter
-    terms; 0.30103 > log10(2).
-    """
-    return (ba + bb + shorter.bit_length() + 1) * 30103 // 100000 + 1
+def _slot_digits(need: int) -> int:
+    """Digits w with 10^w > 2^need, the bound _convolve puts on twice any entry; 0.30103 > log10(2)."""
+    return need * 30103 // 100000 + 1
 
 
-def _kronecker_pays(a: list[int], b: list[int], ba: int, bb: int) -> bool:
+def _kronecker_pays(a: list[int], b: list[int], ba: int, bb: int, need: int) -> bool:
     """Whether _convolve_ks is cheaper than the schoolbook sweep, for len(a) >= len(b).
 
-    ba and bb are _bits(a) and _bits(b), which _convolve has computed.
-    _convolve asks only for operands that packed words leave: products too
-    wide for a 64-bit slot, and operands both _NTT_LENGTH entries long or
-    more, where libmpdec's transform can beat the packed int product.
+    ba and bb are _bits(a) and _bits(b), and need the product's bound, all
+    of which _convolve has computed; it asks only for products too wide for
+    a 64-bit slot, which packed words leave.
     A cost model fitted on 1,050 products of sigma^k(h) rows and random rows
     and on the 2,084 products of 16 or more entries in one round of each
     benchmark workload (CPython 3.11, libmpdec 2.5.1), in units of about
@@ -331,28 +325,28 @@ def _kronecker_pays(a: list[int], b: list[int], ba: int, bb: int) -> bool:
     39 (la + lb)(w + 22), w its slot width: it pays the widest slot for every
     entry of both, so it loses on sparse operands and on bit-unbalanced ones
     (a long, wide Horner accumulator times a short, narrow inner polynomial).
-    With fewer than 32 nonzero entries in b it wins too rarely to scan for;
-    _convolve calls it only when b has 32 entries or more.
+    With fewer than 32 nonzero entries in b it wins too rarely to scan for.
     """
     la, lb = len(a), len(b)
     if (nb := lb - b.count(0)) < 32:
         return False
     sweep = nb * (71 * la + (la - a.count(0)) * max(1, (ba + 29) // 30) * max(1, (bb + 29) // 30))
-    return 39 * (la + lb) * (_slot_digits(ba, bb, lb) + 22) < sweep
+    return 39 * (la + lb) * (_slot_digits(need) + 22) < sweep
 
 
-def _convolve_ks(a: list[int], b: list[int]) -> list[int]:
+def _convolve_ks(a: list[int], b: list[int], need: int) -> list[int]:
     """Integer convolution by Kronecker substitution into one libmpdec product.
 
     Each list is read as the slots of one decimal number, w digits a slot,
     its positive and its negative entries packed apart and subtracted.
-    w leaves room for twice the largest |entry| of the result, so after
-    5*10^(w-1) is added to every slot of the product, each slot holds
-    entry + 5*10^(w-1) in [0, 10^w) and is read off the digit string.
+    w digits hold the need bits that _convolve computed as room for twice
+    the largest |entry| of the result, so after 5*10^(w-1) is added to
+    every slot of the product, each slot holds entry + 5*10^(w-1) in
+    [0, 10^w) and is read off the digit string.
     Ints become text through decimal and text becomes ints in chunks below
     any digit limit, so no coefficient size is refused.
     """
-    w = _slot_digits(_bits(a), _bits(b), min(len(a), len(b)))
+    w = _slot_digits(need)
     zero, ctx = "0" * w, _KRONECKER
 
     def digits(v: list[int], sign: int) -> str:
@@ -582,10 +576,10 @@ class FieldDesc(_Value):
         """phi(m), cached; DegreeCapExceeded past the cap in force when first computed."""
         cap = _DEGREE_CAP.get()
         if self.m > 2 * cap * cap:  # phi(m) >= sqrt(m/2) > cap, no need to factor m
-            raise DegreeCapExceeded(f"field degree phi({self.m}) exceeds the cap {cap}")
+            raise DegreeCapExceeded(f"field degree phi({_int_text(self.m)}) exceeds the cap {cap}")
         phi = euler_phi(self.m)
         if phi > cap:
-            raise DegreeCapExceeded(f"field degree phi({self.m}) = {phi} exceeds the cap {cap}")
+            raise DegreeCapExceeded(f"field degree phi({_int_text(self.m)}) = {phi} exceeds the cap {cap}")
         return phi
 
     _cyclotomic = cached_property(lambda self: _cyclotomic_ints(self.m))  # Phi_m's ascending ints
@@ -598,7 +592,7 @@ class FieldDesc(_Value):
         return FieldDesc(math.lcm(self.m, other.m))
 
     def __str__(self):
-        return "Q" if self.m == 1 else f"Q(zeta_{self.m})"
+        return "Q" if self.m == 1 else f"Q(zeta_{_int_text(self.m)})"
 
 
 RATIONALS = FieldDesc(1)

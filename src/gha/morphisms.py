@@ -174,8 +174,6 @@ class AutGroup(_Value):
 
 
 def _root_of_unity(desc: FieldDesc, d: int) -> FieldElement:
-    if d == 1:
-        return FieldElement.one(desc)
     if d == 2:
         return FieldElement.rational(-1, desc)
     return FieldElement.zeta_power(desc, desc.m // d)

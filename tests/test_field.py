@@ -86,7 +86,7 @@ def test_huge_field_index_is_rejected_without_factoring():
     # bound is factored by trial division up to its square root
     set_degree_cap(100_000)
     start = time.perf_counter()
-    for m in (10 ** 100 + 267, 2 * 10 ** 10 - 33):  # two primes
+    for m in (10 ** 100 + 267, 2 * 10 ** 10 - 33, 10 ** 5000):  # two primes, and past the int/str digit limit
         with pytest.raises(DegreeCapExceeded, match="exceeds the cap"):
             FieldDesc(m).degree
     assert time.perf_counter() - start < 1

@@ -348,15 +348,16 @@ BIG = 10 ** 5000 + 7  # 5001 digits, past the default int/str digit limit of 4,3
 @example([-1], [BIG])
 @example([0, 0], [0])
 def test_kronecker_convolution_matches_schoolbook(a, b):
-    assert _convolve_ks(a, b) == ref_convolve(a, b)
+    need = field._bits(a) + field._bits(b) + min(len(a), len(b)).bit_length() + 1
+    assert _convolve_ks(a, b, need) == ref_convolve(a, b)
 
 
 @NEEDS_LIBMPDEC
 def test_kronecker_path_is_chosen_by_operand_sizes(monkeypatch):
     decimal, words = [], []
     convolve_ks, convolve_words = field._convolve_ks, field._convolve_words
-    monkeypatch.setattr(field, "_convolve_ks", lambda a, b: (
-        decimal.append((len(a), len(b))) or convolve_ks(a, b)))
+    monkeypatch.setattr(field, "_convolve_ks", lambda a, b, need: (
+        decimal.append((len(a), len(b))) or convolve_ks(a, b, need)))
     monkeypatch.setattr(field, "_convolve_words", lambda a, b, need: (
         words.append((len(a), len(b))) or convolve_words(a, b, need)))
     rng = random.Random(3)
@@ -369,16 +370,17 @@ def test_kronecker_path_is_chosen_by_operand_sizes(monkeypatch):
     assert field._convolve(balanced[0], short) == ref_convolve(balanced[0], short)
     assert field._convolve(wide, short) == ref_convolve(wide, short)
     assert decimal == [(300, 300)] and words == []
-    # entries of +-99: every entry of the product fits a word, which beats decimal up to _NTT_LENGTH
+    # entries of +-99: every entry of the product fits a word, so packed words at any length
     assert field._convolve(*small) == ref_convolve(*small)
     assert decimal == [(300, 300)] and words == [(300, 300)]
-    monkeypatch.setattr(field, "_NTT_LENGTH", 300)
-    assert field._convolve(*small) == ref_convolve(*small)
-    assert decimal == [(300, 300)] * 2 and words == [(300, 300)]
+    long = [[rng.randint(-99, 99) for _ in range(6000)] for _ in range(2)]
+    need = field._bits(long[0]) + field._bits(long[1]) + (6000).bit_length() + 1
+    assert need < 64 and field._convolve(*long) == convolve_ks(*long, need)
+    assert decimal == [(300, 300)] and words == [(300, 300), (6000, 6000)]
     monkeypatch.setattr(field, "_KRONECKER", None)  # decimal without libmpdec
     assert field._convolve(*balanced) == ref_convolve(*balanced)
     assert field._convolve(*small) == ref_convolve(*small)
-    assert decimal == [(300, 300)] * 2 and words == [(300, 300)] * 2
+    assert decimal == [(300, 300)] and words == [(300, 300), (6000, 6000), (300, 300)]
 
 
 # --- packed words ----------------------------------------------------------------------
@@ -498,7 +500,7 @@ def test_convolution_by_step_matches_schoolbook(monkeypatch, length, pays):
     # entries or more; the compressed product of 700-digit entries takes
     # the sweep or, long enough, the substitution _kronecker_pays is forced
     # to choose here, and that of one-digit entries packed words
-    monkeypatch.setattr(field, "_kronecker_pays", lambda a, b, ba, bb: pays)
+    monkeypatch.setattr(field, "_kronecker_pays", lambda a, b, ba, bb, need: pays)
     calls = []
     convolve = field._convolve
 
