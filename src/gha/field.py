@@ -33,6 +33,9 @@ two packed paths and sizes the slots of both.
 The degree cap lives here too, in a context variable, as decimal's context
 does.  It bounds the field degree phi(m), checked when FieldDesc.degree is
 first computed, and in _mul the degree of every product of coefficient rows.
+It also bounds the work of factoring m: _factor, the one trial division of
+the package, stops once phi(m) > cap is certain, so it takes at most about
+sqrt(cap) trial divisions.
 
 _Value, the base of FieldDesc and of the package's other small immutable
 records (the parser's tree nodes, the structure and morphism reports), is
@@ -86,29 +89,39 @@ def check_degree(n, e: int = 1) -> None:
         raise DegreeCapExceeded(f"result degree {_int_text(n)} exceeds the cap {cap}")
 
 
-def divisors(m: int) -> list[int]:
-    """Positive divisors of m, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+def _factor(m: int, cap: int | None = None) -> list[tuple[int, int]] | None:
+    """The prime powers of m, ascending, as pairs (p, e), by one trial division.
 
-
-def euler_phi(m: int) -> int:
-    """Euler's totient function, m times (1 - 1/p) over the primes p of m."""
-    result, p = m, 2
+    With a cap, None as soon as phi(m) > cap is certain: at once when
+    m > 2 cap^2, since phi(m) >= sqrt(m/2), and else at p = 64.  The rest r
+    of m then has k <= bits(r) // 6 primes, each 67 or more, so
+    phi(m) >= phi(m / r) * r * (64 - k) / 64 by Bernoulli's inequality.  Past
+    that check r is at most about cap, so the loop makes at most about
+    sqrt(cap) trial divisions.
+    """
+    if cap is not None and m > 2 * cap * cap:
+        return None
+    out, p = [], 2
     while p * p <= m:
+        if p == 64 and cap is not None and 64 * cap < math.prod(
+                (q - 1) * q ** (e - 1) for q, e in out) * m * (64 - m.bit_length() // 6):
+            return None
         if m % p == 0:
-            result -= result // p
+            e = 0
             while m % p == 0:
                 m //= p
+                e += 1
+            out.append((p, e))
         p += 1
-    return result - result // m if m > 1 else result
+    return out + [(m, 1)] if m > 1 else out
+
+
+def divisors(m: int) -> list[int]:
+    """Positive divisors of m, ascending."""
+    out = [1]
+    for p, e in _factor(m):
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def signed_sum(pieces: list[tuple[int, str]]) -> str:
@@ -477,19 +490,23 @@ def _inverse(a: list[int], da: int, field: "FieldDesc") -> tuple[list[int], int]
 def _cyclotomic_ints(m: int) -> tuple[int, ...]:
     """Ascending integer coefficients of Phi_m.
 
-    From Phi_1 = t - 1, one prime p of m at a time: Phi_(np)(t) is
-    Phi_n(t^p) when p divides n, and Phi_n(t^p) / Phi_n(t) when it does not.
+    From Phi_1 = t - 1, one distinct prime p of m at a time, Phi_(np)(t) =
+    Phi_n(t^p) / Phi_n(t); at n = rad m, the product of those primes,
+    Phi_m(t) = Phi_n(t^(m/n)).  m is factored once, by _factor.  Through
+    FieldDesc, degree has refused any phi(m) > cap before, by a trial
+    division that stops once that is certain: at most about sqrt(cap) steps.
     """
     if m < 1:
         raise ValueError("cyclotomic index must be a positive integer")
     num, n = [-1, 1], 1
-    while n < m:
-        p = divisors(m // n)[1]  # the least prime factor of m / n
+    for p, _ in _factor(m):
         up = [0] * ((len(num) - 1) * p + 1)
         up[::p] = num
-        num = up if n % p == 0 else _divmod(up, 1, num, 1, RATIONALS)[0][0]
+        num = _divmod(up, 1, num, 1, RATIONALS)[0][0]
         n *= p
-    return tuple(num)
+    out = [0] * ((len(num) - 1) * (m // n) + 1)
+    out[::m // n] = num
+    return tuple(out)
 
 
 def cyclotomic_coeffs(m: int) -> tuple[Fraction, ...]:
@@ -573,11 +590,17 @@ class FieldDesc(_Value):
 
     @cached_property
     def degree(self) -> int:
-        """phi(m), cached; DegreeCapExceeded past the cap in force when first computed."""
+        """phi(m), cached; DegreeCapExceeded past the cap in force when first computed.
+
+        phi is a product over the prime powers of m, which _factor finds by
+        trial division; it stops once phi(m) > cap is certain, so it takes
+        at most about sqrt(cap) trial divisions.
+        """
         cap = _DEGREE_CAP.get()
-        if self.m > 2 * cap * cap:  # phi(m) >= sqrt(m/2) > cap, no need to factor m
+        powers = _factor(self.m, cap)
+        if powers is None:
             raise DegreeCapExceeded(f"field degree phi({_int_text(self.m)}) exceeds the cap {cap}")
-        phi = euler_phi(self.m)
+        phi = math.prod((p - 1) * p ** (e - 1) for p, e in powers)
         if phi > cap:
             raise DegreeCapExceeded(f"field degree phi({_int_text(self.m)}) = {phi} exceeds the cap {cap}")
         return phi

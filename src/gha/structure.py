@@ -8,8 +8,10 @@ ideal (sigma^1(h), ..., sigma^(n+1)(h)) of C[h] is (f) for every n.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 
 from .core import AlgebraElement, Context, multiply
 from .errors import UnsupportedCase
@@ -72,6 +74,9 @@ def find_shift_root(f: Poly) -> FieldElement | None:
 
     Only rational candidates are searched (rational root theorem); None
     means no rational root, including the case of irrational-only roots.
+    It still trial-divides a_0 and a_n, once each: the candidates are s/t
+    in lowest terms with s | a_0 and t | a_n, and each is tested by one
+    integer Horner pass, sum a_i s^i t^(n-i) = 0, with no Fraction or Poly.
     """
     p = f - Poly.gen(f.field)
     phi = f.field.degree
@@ -80,11 +85,15 @@ def find_shift_root(f: Poly) -> FieldElement | None:
     ints = p.num[::phi]  # the integer coefficients of p.den * p
     if not ints or not ints[0]:
         return FieldElement.zero(f.field)  # f(h) = h, or h divides f(h) - h
+    # each den with a_(n-i) den^i, read by Horner's rule in s as den^n p(s/den)
+    dens = [(t, [c * t ** i for i, c in enumerate(reversed(ints))]) for t in divisors(abs(ints[-1]))]
     for num in divisors(abs(ints[0])):
-        for den in divisors(abs(ints[-1])):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p(FieldElement.rational(cand, f.field)).is_zero:
-                    return FieldElement.rational(cand, f.field)
+        for den, scaled in dens:
+            if math.gcd(num, den) > 1:
+                continue  # num/den came up earlier, in lowest terms
+            for s in (num, -num):
+                if not reduce(lambda acc, c: acc * s + c, scaled):
+                    return FieldElement.rational(Fraction(s, den), f.field)
     return None
 
 

@@ -10,6 +10,7 @@ central element z with Poly arithmetic alone.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 from gha.core import AlgebraElement, Context, generators, multiply
@@ -48,6 +49,28 @@ def digits(n: int) -> str:
         n, low = divmod(n, 10 ** 600)
         chunks.append(str(low).zfill(600))
     return sign + str(n) + "".join(reversed(chunks))
+
+
+def line_events(func, run) -> tuple:
+    """run()'s value, and the line events it makes inside func's own code, a count of its loop steps.
+
+    A clock-free measure of work: sys.settrace is set only for the call and
+    traces no frame of any other code.
+    """
+    code, events = func.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        value = run()
+    finally:
+        sys.settrace(previous)
+    return value, events
 
 
 def random_fraction(rng: random.Random, span: int = 5) -> Fraction:

@@ -8,12 +8,11 @@ import shlex
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
 
-from gha import cli, field, structure
+from gha import cli, core, field, structure
 from gha.cli import build_parser, run
 from gha.core import AlgebraElement, Context
 from gha.parser import parse_element, parse_poly
@@ -21,7 +20,7 @@ from gha.poly import Poly
 from gha.poly import degree_cap
 
 from . import cli_corpus
-from .helpers import digits
+from .helpers import digits, line_events
 
 
 def invoke(capsys, *argv):
@@ -372,24 +371,48 @@ def test_huge_h_exponent_hits_the_cap(capsys):
     assert "exceeds the cap" in err
 
 
-def test_large_cyclotomic_field_is_fast(capsys):
+def _longest_convolutions(monkeypatch) -> list[int]:
+    """The longer operand's length of every field._convolve call from now on, in order."""
+    longest = []
+    convolve = field._convolve
+
+    def recording(a, b):
+        longest.append(max(len(a), len(b)))
+        return convolve(a, b)
+
+    monkeypatch.setattr(field, "_convolve", recording)
+    return longest
+
+
+def test_large_cyclotomic_field_is_fast(monkeypatch, capsys):
     # Q(zeta_2000) reduces through the 5 nonzero terms of Phi_2000, with no
-    # table of zeta powers
-    start = time.perf_counter()
+    # table of zeta powers, and its rows are spread to the zeta powers they
+    # hold, never to phi(2000) = 800
+    longest = _longest_convolutions(monkeypatch)
     code, out, _ = invoke(capsys, "--field", "Q(zeta_2000)", "--f", "h^2 + zeta*h", "nf", "y*x")
-    assert time.perf_counter() - start < 3
     assert code == 0
     assert out == "(h^2 + (zeta - 1)*h) + x^1 * (1) * y^1"
+    assert longest and max(longest) < 800
 
 
 @pytest.mark.parametrize("expr", ["y^17*x", "y^100000000*x"])
-def test_normal_form_over_the_cap_fails_before_building(capsys, expr):
-    # y^k x^j has a coefficient of degree exactly 2^(k+j-1) when f = h^2
-    start = time.perf_counter()
+def test_normal_form_over_the_cap_fails_before_building(monkeypatch, capsys, expr):
+    # y^k x^j has a coefficient of degree exactly 2^(k+j-1) when f = h^2: the
+    # request convolves only what reading f = h^2 does, as "nf y" does, and
+    # builds no y^k x^j
+    longest = _longest_convolutions(monkeypatch)
+    assert invoke(capsys, "--f", "h^2", "nf", "y")[0] == 0
+    reading_f = list(longest)
+
+    def building(*args):
+        raise AssertionError("y^k x^j built before the cap refused it")
+
+    monkeypatch.setattr(core, "_y_pow_x_pow", building)
+    longest.clear()
     code, out, err = invoke(capsys, "--f", "h^2", "nf", expr)
-    assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert "exceeds the cap" in err
+    assert longest == reading_f
 
 
 def test_normal_form_at_the_cap_succeeds(capsys):
@@ -398,22 +421,35 @@ def test_normal_form_at_the_cap_succeeds(capsys):
     assert out == "(h^65536 - h) * y^15 + x^1 * (1) * y^16"
 
 
-@pytest.mark.parametrize("field", ["Q(zeta_1000003)", "Q(zeta_100000000000000000000)",
-                                   pytest.param(f"Q(zeta_{'9' * 5000})", id="Q(zeta_5000 nines)")])
-def test_field_degree_over_the_cap_fails_fast(capsys, field):
-    start = time.perf_counter()
-    code, out, err = invoke(capsys, "--field", field, "--f", "h^2", "nf", "y*x")
-    assert time.perf_counter() - start < 1
+@pytest.mark.parametrize("name", ["Q(zeta_1000003)", "Q(zeta_100000000000000000000)",
+                                  pytest.param(f"Q(zeta_{'9' * 5000})", id="Q(zeta_5000 nines)")])
+def test_field_degree_over_the_cap_fails_fast(capsys, name):
+    # the prime 1000003 is refused at p = 64, not factored up to 1000; the
+    # others pass 2 cap^2 and are refused before any trial division
+    (code, out, err), steps = line_events(
+        field._factor, lambda: invoke(capsys, "--field", name, "--f", "h^2", "nf", "y*x"))
+    assert steps < 300  # about 4 lines a trial division
     assert code == 1 and out == ""
     assert "exceeds the cap" in err
 
 
-def test_field_degree_under_the_cap_succeeds(capsys):
-    start = time.perf_counter()
+def test_field_degree_under_the_cap_succeeds(monkeypatch, capsys):
+    # phi(100000) = 40000; Phi_100000 and the product are built from rows
+    # far shorter than that
+    longest = _longest_convolutions(monkeypatch)
     code, out, _ = invoke(capsys, "--field", "Q(zeta_100000)", "--f", "h^2", "nf", "y*x")
-    assert time.perf_counter() - start < 1
-    assert code == 0  # phi(100000) = 40000
+    assert code == 0
     assert out == "(h^2 - h) + x^1 * (1) * y^1"
+    assert longest and max(longest) < 40000
+
+
+def test_prime_index_below_twice_the_squared_cap_is_refused(capsys):
+    # m = 2^61 - 1 is prime and below 2 cap^2, so only trial division up to
+    # sqrt(m) could find phi(m) exactly; it is refused once phi(m) > cap is certain
+    code, out, err = invoke(capsys, "--degree-cap", "10000000000", "--field", "Q(zeta_2305843009213693951)",
+                            "--f", "h", "nf", "x")
+    assert (code, out) == (1, "")
+    assert err == "error: field degree phi(2305843009213693951) exceeds the cap 10000000000"
 
 
 def test_degree_cap_option_bounds_the_field_degree(capsys):
@@ -744,16 +780,8 @@ def test_noetherian_stdout_bytes(capsys, argv, expected):
 
 def test_large_cyclotomic_product_convolves_short_rows(monkeypatch, capsys):
     # a product of rows with low zeta powers is spread to the stride those
-    # powers need, never to phi(100000) = 40000; a clock-free guard of the
-    # timed test_field_degree_under_the_cap_succeeds
-    longest = []
-    convolve = field._convolve
-
-    def recording(a, b):
-        longest.append(max(len(a), len(b)))
-        return convolve(a, b)
-
-    monkeypatch.setattr(field, "_convolve", recording)
+    # powers need, never to phi(100000) = 40000
+    longest = _longest_convolutions(monkeypatch)
     code, out, _ = invoke(capsys, "--field", "Q(zeta_100000)", "--f", "h^2", "nf", "y*x")
     assert code == 0 and out == "(h^2 - h) + x^1 * (1) * y^1"
     assert longest and max(longest) < 40000

@@ -43,8 +43,12 @@ def _expressions(names, depth=3):
 
 _elements = _expressions(["x", "y", "h", "z", "zeta"])
 _polys = _expressions(["h", "zeta", "2h", "h^3"])
-_fields = st.sampled_from([[], ["--field", "Q(zeta_3)"], ["--field", "Q(zeta_4)"],
-                           ["--field", "Q(zeta_12)"]])
+# Indices up to 10^24: under the cap of 64, a field with phi(m) <= 64 is built,
+# and any other is refused before 100 trial divisions (m > 2 * 64^2 before any)
+_fields = st.one_of(
+    st.sampled_from([[], ["--field", "Q(zeta_3)"], ["--field", "Q(zeta_4)"], ["--field", "Q(zeta_12)"]]),
+    st.integers(1, 10 ** 24).map(lambda m: ["--field", f"Q(zeta_{m})"]),
+)
 
 
 def _command(expr):
@@ -68,6 +72,9 @@ def _command(expr):
 @example([], "h^3 + h", [], ["nf", "y^3*x^3"])
 @example([], "h^2", ["--json"], ["derivation-classify", "--dx=x", "--dy=-y", "--dh=0"])
 @example(["--field", "Q(zeta_3)"], "zeta*h^3", [], ["aut"])
+# a prime index below 2 cap^2 under a cap of its own, which follows CAP in argv
+@example(["--degree-cap", "10000000000", "--field", "Q(zeta_2305843009213693951)"], "h", [],
+         ["nf", "--", "x"])
 def test_run_exits_0_1_or_2_on_drawn_requests(field, f, fmt, command):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -8,7 +8,6 @@ import os
 import random
 import sys
 import threading
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -25,10 +24,11 @@ from gha.field import (
     cyclotomic_polynomial,
     degree_cap,
     divisors,
-    euler_phi,
     set_degree_cap,
 )
 from gha.poly import Poly
+
+from .helpers import line_events
 
 Q3 = FieldDesc(3)
 Q4 = FieldDesc(4)
@@ -38,14 +38,43 @@ Q6 = FieldDesc(6)
 def test_divisors_and_phi():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
-    assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert [FieldDesc(m).degree for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 def test_phi_counts_units():
+    set_degree_cap(2 ** 40)
     for m in range(1, 400):
-        assert euler_phi(m) == sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
-    assert euler_phi(2 ** 40) == 2 ** 39
-    assert euler_phi(999983 * 1000003) == 999982 * 1000002
+        assert FieldDesc(m).degree == sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+    assert FieldDesc(2 ** 40).degree == 2 ** 39
+    assert FieldDesc(999983 * 1000003).degree == 999982 * 1000002
+
+
+def test_divisors_match_brute_force():
+    below = 5000
+    sieved = [[] for _ in range(below)]  # every d of 1..m appended to each multiple m, ascending
+    for d in range(1, below):
+        for m in range(d, below, d):
+            sieved[m].append(d)
+    for m in range(1, below):
+        assert divisors(m) == sieved[m], m
+
+
+def test_field_degree_at_the_cap_succeeds_for_every_index():
+    # _factor refuses once phi(m) > cap is certain; at cap = phi(m) it never
+    # may, and at cap = phi(m) - 1 the degree is refused all the same
+    below = 20000
+    phi = list(range(below))
+    for p in range(2, below):
+        if phi[p] == p:  # p is prime
+            for m in range(p, below, p):
+                phi[m] -= phi[m] // p
+    for m in range(1, below):
+        set_degree_cap(phi[m])
+        assert FieldDesc(m).degree == phi[m], m
+        if phi[m] > 1:
+            set_degree_cap(phi[m] - 1)
+            with pytest.raises(DegreeCapExceeded, match="exceeds the cap"):
+                FieldDesc(m).degree
 
 
 @pytest.mark.parametrize("cap", [50.5, True, False, Fraction(7), "7", None])
@@ -77,19 +106,40 @@ def test_field_degree_over_the_cap_raises():
     for field in (q23, FieldDesc(201), FieldDesc(10 ** 20)):
         with pytest.raises(DegreeCapExceeded, match="exceeds the cap 10"):
             field.degree
+    with pytest.raises(DegreeCapExceeded, match=r"^field degree phi\(23\) = 22 exceeds the cap 10$"):
+        q23.degree  # a finished factorization names the value it found
     set_degree_cap(100)
     assert q23.degree == 22  # a refused attempt caches nothing
 
 
 def test_huge_field_index_is_rejected_without_factoring():
-    # m > 2 cap^2 forces phi(m) >= sqrt(m/2) > cap; a prime just below that
-    # bound is factored by trial division up to its square root
+    # m > 2 cap^2 forces phi(m) >= sqrt(m/2) > cap, and _factor refuses it
+    # before its loop; a prime just below that bound is refused at p = 64,
+    # where trial division up to its square root would take 141,421 steps
     set_degree_cap(100_000)
-    start = time.perf_counter()
-    for m in (10 ** 100 + 267, 2 * 10 ** 10 - 33, 10 ** 5000):  # two primes, and past the int/str digit limit
-        with pytest.raises(DegreeCapExceeded, match="exceeds the cap"):
-            FieldDesc(m).degree
-    assert time.perf_counter() - start < 1
+
+    def refuse(m):
+        def run():
+            with pytest.raises(DegreeCapExceeded, match="exceeds the cap"):
+                FieldDesc(m).degree
+        return run
+
+    for m in (10 ** 100 + 267, 10 ** 5000):  # a prime, and past the int/str digit limit
+        assert line_events(gha.field._factor, refuse(m))[1] <= 2
+    assert line_events(gha.field._factor, refuse(2 * 10 ** 10 - 33))[1] < 300  # about 4 lines a step
+
+
+def test_prime_index_past_the_cap_is_refused_at_p_64():
+    # 2^61 - 1 is prime and below 2 cap^2; phi(m) >= m * (64 - 10) / 64 > cap
+    # is certain once the primes below 64 are divided out
+    set_degree_cap(10 ** 10)
+
+    def refuse():
+        with pytest.raises(DegreeCapExceeded) as info:
+            FieldDesc(2 ** 61 - 1).degree
+        assert str(info.value) == "field degree phi(2305843009213693951) exceeds the cap 10000000000"
+
+    assert line_events(gha.field._factor, refuse)[1] < 300
 
 
 def test_degree_cap_has_one_home():

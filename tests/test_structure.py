@@ -1,13 +1,15 @@
 """Classification flags, ideal-chain witness, center and H0 membership."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from gha import structure
 from gha.core import AlgebraElement, Context, commutator, generators
 from gha.errors import UnsupportedCase
-from gha.field import FieldDesc, FieldElement, RATIONALS
+from gha.field import FieldDesc, FieldElement, RATIONALS, divisors
 from gha.parser import parse_element, parse_poly
 from gha.poly import Poly, poly_gcd, sigma_power_h
 from gha.structure import (
@@ -130,6 +132,60 @@ def test_shift_root_none_when_irrational():
     root = find_shift_root(parse_poly("h^2 + h - 1"))  # f - h = h^2 - 1
     assert root is not None and root.as_fraction() in (1, -1)
     assert find_shift_root(parse_poly("h^2 + zeta", FieldDesc(3))) is None  # not rational
+
+
+def _first_rational_root(f: Poly):
+    """The search find_shift_root made before it skipped non-reduced pairs and
+    evaluated on integers: every num/den, num | a_0 and den | a_n, through Poly."""
+    p = f - Poly.gen(f.field)
+    coeffs = [c.as_fraction() for c in p.coeffs]
+    den = math.lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * den) for c in coeffs]
+    for num in divisors(abs(ints[0])):
+        for den in divisors(abs(ints[-1])):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if p(FieldElement.rational(cand, f.field)).is_zero:
+                    return cand
+    return None
+
+
+def test_shift_root_matches_the_search_over_every_pair():
+    # the first root in the order of the full search, over random f with
+    # planted rational roots: a pair with gcd > 1 repeats an earlier value
+    rng = random.Random(24)
+    for _ in range(150):
+        roots = [Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(rng.randint(1, 3))]
+        p = Poly(RATIONALS, (rng.choice([1, 2, 6, 12]),))
+        for r in roots:
+            p = p * Poly(RATIONALS, (-r, 1))
+        p = p * random_poly(rng, RATIONALS, max_degree=2)
+        f = p + Poly.gen(RATIONALS)
+        if p.is_zero or p.coeff(0).is_zero:
+            continue
+        root = find_shift_root(f)
+        expected = _first_rational_root(f)
+        assert expected is not None and root.as_fraction() == expected, str(f)
+
+
+def test_shift_root_trial_divides_twice_and_composes_nothing(monkeypatch):
+    # a_0 and a_n are trial-divided once each, and no candidate is evaluated
+    # through a Poly: 720720 has 240 divisors, so 2 * 240 * 240 candidates
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return divisors(m)
+
+    def composing(*args):
+        raise AssertionError("a candidate was evaluated through Poly.compose")
+
+    monkeypatch.setattr(structure, "divisors", counting)
+    monkeypatch.setattr(Poly, "compose", composing)
+    assert find_shift_root(parse_poly("720720*h^2 + 3*h + 720720")) is None
+    assert sorted(calls) == [720720, 720720]
+    # f(h) - h = (3h + 1)(2h - 1): 1/2 comes before -1/3
+    assert find_shift_root(parse_poly("6*h^2 - 1")) == FieldElement.rational(Fraction(1, 2))
+    assert len(calls) == 4
 
 
 def test_center_powers_of_z():
