@@ -487,31 +487,22 @@ def _inverse(a: list[int], da: int, field: "FieldDesc") -> tuple[list[int], int]
     return _lowest(num + [0] * (field.degree - len(num)), e1 * r1[0])
 
 
-def _cyclotomic_ints(m: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of Phi_m.
+def _cyclotomic_ints(powers: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Ascending integer coefficients of Phi_m, m given by its prime powers (p, e).
 
     From Phi_1 = t - 1, one distinct prime p of m at a time, Phi_(np)(t) =
     Phi_n(t^p) / Phi_n(t); at n = rad m, the product of those primes,
-    Phi_m(t) = Phi_n(t^(m/n)).  m is factored once, by _factor.  Through
-    FieldDesc, degree has refused any phi(m) > cap before, by a trial
-    division that stops once that is certain: at most about sqrt(cap) steps.
+    Phi_m(t) = Phi_n(t^(m/n)).
     """
-    if m < 1:
-        raise ValueError("cyclotomic index must be a positive integer")
-    num, n = [-1, 1], 1
-    for p, _ in _factor(m):
+    num = [-1, 1]
+    for p, _ in powers:
         up = [0] * ((len(num) - 1) * p + 1)
         up[::p] = num
         num = _divmod(up, 1, num, 1, RATIONALS)[0][0]
-        n *= p
-    out = [0] * ((len(num) - 1) * (m // n) + 1)
-    out[::m // n] = num
+    step = math.prod(p ** (e - 1) for p, e in powers)  # m / rad m
+    out = [0] * ((len(num) - 1) * step + 1)
+    out[::step] = num
     return tuple(out)
-
-
-def cyclotomic_coeffs(m: int) -> tuple[Fraction, ...]:
-    """Ascending coefficients of the m-th cyclotomic polynomial Phi_m."""
-    return tuple(Fraction(c) for c in _cyclotomic_ints(m))
 
 
 _setattr = object.__setattr__
@@ -566,7 +557,7 @@ class _Value:
 class FieldDesc(_Value):
     """Q (m = 1) or the cyclotomic field Q(zeta_m); it holds phi(m) and Phi_m, once computed."""
 
-    __slots__ = ("m", "__dict__")  # the __dict__ holds the cached degree and Phi_m
+    __slots__ = ("m", "__dict__")  # the __dict__ holds the cached factors, degree and Phi_m
     __match_args__ = ("m",)
 
     def __init__(self, m: int = 1):
@@ -589,8 +580,9 @@ class FieldDesc(_Value):
         return self.m == 1
 
     @cached_property
-    def degree(self) -> int:
-        """phi(m), cached; DegreeCapExceeded past the cap in force when first computed.
+    def _factored(self) -> tuple[int, list[tuple[int, int]]]:
+        """(phi(m), the prime powers of m), cached; DegreeCapExceeded past the
+        cap in force when first computed.
 
         phi is a product over the prime powers of m, which _factor finds by
         trial division; it stops once phi(m) > cap is certain, so it takes
@@ -603,9 +595,10 @@ class FieldDesc(_Value):
         phi = math.prod((p - 1) * p ** (e - 1) for p, e in powers)
         if phi > cap:
             raise DegreeCapExceeded(f"field degree phi({_int_text(self.m)}) = {phi} exceeds the cap {cap}")
-        return phi
+        return phi, powers
 
-    _cyclotomic = cached_property(lambda self: _cyclotomic_ints(self.m))  # Phi_m's ascending ints
+    degree = cached_property(lambda self: self._factored[0])  # phi(m); DegreeCapExceeded past the cap
+    _cyclotomic = cached_property(lambda self: _cyclotomic_ints(self._factored[1]))  # Phi_m's ascending ints
 
     def embeds_into(self, other: "FieldDesc") -> bool:
         return other.m % self.m == 0
@@ -825,7 +818,9 @@ class FieldElement(_Pair):
 
 
 def cyclotomic_polynomial(m: int):
-    """Phi_m as a polynomial over Q."""
+    """Phi_m as a polynomial over Q; DegreeCapExceeded when phi(m) passes the degree cap."""
     from .poly import Poly
 
-    return Poly(RATIONALS, cyclotomic_coeffs(m))
+    if m < 1:
+        raise ValueError("cyclotomic index must be a positive integer")
+    return Poly._from_ints(RATIONALS, list(FieldDesc(m)._cyclotomic), 1)

@@ -7,17 +7,21 @@ output never uses it.  Polynomial inputs (the --f flag) additionally
 allow implicit multiplication, as in '2h^3 - h'.  Parentheses nest at
 most MAX_NESTING deep.
 
-The tree's nodes are immutable values (field._Value) with generated
-constructors and class patterns; tokens are a NamedTuple.  A parse builds
-a node per operator and a token per lexeme, so both stay cheap to make.
+One regular expression reads the lexemes and each token is a plain
+(kind, text, offset) tuple; a recursive descent of four productions,
+expr, term, unary and atom, builds the tree.  Its nodes are immutable
+values (field._Value) with generated constructors and class patterns.
+A parse builds a node per operator and a token per lexeme, so both stay
+cheap to make.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from functools import partial
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 from .core import AlgebraElement, Context, generators
 from .errors import ParseError
@@ -59,146 +63,107 @@ class Pow(_Value):
     __slots__ = __match_args__ = ("base", "exponent")
 
 
-class _Token(NamedTuple):
-    kind: str  # INT, NAME, OP, END
-    text: str
-    pos: int
-
-
 _ELEMENT_NAMES = ("x", "y", "h", "z", "zeta")
 _POLY_NAMES = ("h", "zeta")
 # the parser recurses a fixed number of frames per parenthesis level, so
 # this bound keeps it well inside the interpreter's recursion limit
 MAX_NESTING = 100
 
+# an integer, a word, an operator or any other non-space character; \d is
+# str.isdecimal, the digits int() and decimal accept, and \s is str.isspace
+_LEXEME = re.compile(r"(?P<INT>\d+)|(?P<NAME>[^\W\d_]+)|(?P<OP>[-+*^()/])|(?P<BAD>\S)")
 
-def _tokenize(src: str) -> list[_Token]:
+
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """The tokens of src as (kind, text, offset), closed by ("END", "", len(src)).
+
+    A word is a name only if every character is a letter: the pattern's
+    [^\\W\\d_] also takes characters such as '²', '½' and 'Ⅻ'.
+    """
     tokens = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-        elif c.isdecimal():  # the digits int() and decimal accept
-            start = i
-            while i < len(src) and src[i].isdecimal():
-                i += 1
-            tokens.append(_Token("INT", src[start:i], start))
-        elif c.isalpha():
-            start = i
-            while i < len(src) and src[i].isalpha():
-                i += 1
-            tokens.append(_Token("NAME", src[start:i], start))
-        elif c in "+-*^()/":
-            tokens.append(_Token("OP", c, i))
-            i += 1
-        else:
-            raise ParseError(i, {"integer", "name", "operator"}, c)
-    tokens.append(_Token("END", "", len(src)))
+    for match in _LEXEME.finditer(src):
+        kind, text, pos = match.lastgroup, match.group(), match.start()
+        if kind == "BAD" or kind == "NAME" and not text.isalpha():
+            i = next(i for i, c in enumerate(text) if not c.isalpha())
+            raise ParseError(pos + i, {"integer", "name", "operator"}, text[i])
+        tokens.append((kind, text, pos))
+    tokens.append(("END", "", len(src)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], names: tuple[str, ...], implicit_mul: bool):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, names: tuple[str, ...], implicit_mul: bool):
+        self.tokens = _tokenize(text)
+        self.i = 0
         self.names = names
         self.implicit_mul = implicit_mul
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def take(self, kind: str, texts=None) -> str | None:
+        """The next token's text, consumed, if it is of kind and in texts; else None."""
+        k, text, _ = self.tokens[self.i]
+        if k == kind and (texts is None or text in texts):
+            self.i += 1
+            return text
+        return None
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def fail(self, expected: set[str]):
+        """Raise ParseError at the next token, which is none of expected."""
+        _, text, pos = self.tokens[self.i]
+        raise ParseError(pos, expected, text)
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        while op := self.take("OP", "+-"):
+            node = (Add if op == "+" else Sub)(node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "*":
-                self.advance()
-                node = Mul(node, self.unary())
-            elif self.implicit_mul and (
-                tok.kind in ("INT", "NAME") or (tok.kind == "OP" and tok.text == "(")
-            ):
-                node = Mul(node, self.unary())
-            else:
-                return node
+        while self.take("OP", "*") or self.implicit_mul and (
+                self.tokens[self.i][0] in ("INT", "NAME") or self.tokens[self.i][1] == "("):
+            node = Mul(node, self.unary())
+        return node
 
     def unary(self) -> Expr:
+        """Leading '-' signs over an atom raised to literal exponents."""
         signs = 0
-        while self.peek().kind == "OP" and self.peek().text == "-":
-            self.advance()
+        while self.take("OP", "-"):
             signs += 1
-        node = self.power()
+        node = self.atom()
+        while self.take("OP", "^"):
+            node = Pow(node, _text_int(self.take("INT") or self.fail({"nonnegative integer exponent"})))
         for _ in range(signs):
             node = Neg(node)
         return node
 
-    def power(self) -> Expr:
-        node = self.atom()
-        while self.peek().kind == "OP" and self.peek().text == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "INT":
-                raise ParseError(tok.pos, {"nonnegative integer exponent"}, tok.text)
-            self.advance()
-            node = Pow(node, _text_int(tok.text))
-        return node
-
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            num = _text_int(tok.text)
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.text == "/":
-                self.advance()
-                den_tok = self.peek()
-                if den_tok.kind != "INT":
-                    raise ParseError(den_tok.pos, {"integer denominator"}, den_tok.text)
-                self.advance()
-                if _text_int(den_tok.text) == 0:
-                    raise ParseError(den_tok.pos, {"nonzero denominator"}, den_tok.text)
-                return Num(Fraction(num, _text_int(den_tok.text)))
-            return Num(Fraction(num))
-        if tok.kind == "NAME":
-            if tok.text not in self.names:
-                raise ParseError(tok.pos, set(self.names), tok.text)
-            self.advance()
-            return Sym(tok.text)
-        if tok.kind == "OP" and tok.text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(tok.pos, {f"at most {MAX_NESTING} nested parentheses"}, tok.text)
-            self.advance()
+        if num := self.take("INT"):
+            if not self.take("OP", "/"):
+                return Num(Fraction(_text_int(num)))
+            den = self.take("INT") or self.fail({"integer denominator"})
+            if not _text_int(den):
+                raise ParseError(self.tokens[self.i - 1][2], {"nonzero denominator"}, den)
+            return Num(Fraction(_text_int(num), _text_int(den)))
+        if name := self.take("NAME", self.names):
+            return Sym(name)
+        if self.depth < MAX_NESTING and self.take("OP", "("):
             self.depth += 1
             node = self.expr()
             self.depth -= 1
-            closing = self.peek()
-            if not (closing.kind == "OP" and closing.text == ")"):
-                raise ParseError(closing.pos, {"')'"}, closing.text)
-            self.advance()
+            self.take("OP", ")") or self.fail({"')'"})
             return node
-        raise ParseError(tok.pos, {"integer", "'('"} | set(self.names), tok.text)
+        kind, text, _ = self.tokens[self.i]
+        self.fail(set(self.names) if kind == "NAME" else
+                  {f"at most {MAX_NESTING} nested parentheses"} if text == "(" else
+                  {"integer", "'('", *self.names})
 
 
 def _parse(text: str, names: tuple[str, ...], implicit_mul: bool) -> Expr:
-    parser = _Parser(_tokenize(text), names, implicit_mul)
+    parser = _Parser(text, names, implicit_mul)
     node = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "END":
-        raise ParseError(tail.pos, {"operator", "end of input"}, tail.text)
+    if parser.tokens[parser.i][0] != "END":
+        parser.fail({"operator", "end of input"})
     return node
 
 

@@ -4,7 +4,8 @@ Everything random takes an explicit random.Random so failures reproduce
 from the seed alone.  The scalar references share no code with the package;
 the derivation references build on its product and differ only in how they
 expand the Leibniz rule.  The normal form of y^k x^j is rebuilt from the
-central element z with Poly arithmetic alone.
+central element z with Poly arithmetic alone, and expression texts are
+read a second time by a character-loop parser.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from gha.core import AlgebraElement, Context, generators, multiply
-from gha.errors import UnsupportedCase
-from gha.field import FieldDesc, FieldElement, divisors
+from gha.errors import ParseError, UnsupportedCase
+from gha.field import FieldDesc, FieldElement, _text_int, divisors
+from gha.parser import MAX_NESTING, Add, Expr, Mul, Neg, Num, Pow, Sub, Sym
 from gha.poly import Poly, sigma_power_h
 
 PHI = {  # ascending coefficients of Phi_m
@@ -186,6 +189,151 @@ def ref_y_pow_x_pow(ctx: Context, k: int, j: int) -> AlgebraElement:
             term = e_r.compose(sigma_h(a)) * c_a
             terms[key] = terms[key] + term if key in terms else term
     return AlgebraElement(ctx, terms)
+
+
+# --- the parser as a character loop -------------------------------------
+
+
+class _Token(NamedTuple):
+    kind: str  # INT, NAME, OP, END
+    text: str
+    pos: int
+
+
+def _tokenize(src: str) -> list[_Token]:
+    tokens = []
+    i = 0
+    while i < len(src):
+        c = src[i]
+        if c.isspace():
+            i += 1
+        elif c.isdecimal():  # the digits int() and decimal accept
+            start = i
+            while i < len(src) and src[i].isdecimal():
+                i += 1
+            tokens.append(_Token("INT", src[start:i], start))
+        elif c.isalpha():
+            start = i
+            while i < len(src) and src[i].isalpha():
+                i += 1
+            tokens.append(_Token("NAME", src[start:i], start))
+        elif c in "+-*^()/":
+            tokens.append(_Token("OP", c, i))
+            i += 1
+        else:
+            raise ParseError(i, {"integer", "name", "operator"}, c)
+    tokens.append(_Token("END", "", len(src)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token], names: tuple[str, ...], implicit_mul: bool):
+        self.tokens = tokens
+        self.pos = 0
+        self.names = names
+        self.implicit_mul = implicit_mul
+        self.depth = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expr(self) -> Expr:
+        node = self.term()
+        while self.peek().kind == "OP" and self.peek().text in "+-":
+            op = self.advance().text
+            rhs = self.term()
+            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        return node
+
+    def term(self) -> Expr:
+        node = self.unary()
+        while True:
+            tok = self.peek()
+            if tok.kind == "OP" and tok.text == "*":
+                self.advance()
+                node = Mul(node, self.unary())
+            elif self.implicit_mul and (
+                tok.kind in ("INT", "NAME") or (tok.kind == "OP" and tok.text == "(")
+            ):
+                node = Mul(node, self.unary())
+            else:
+                return node
+
+    def unary(self) -> Expr:
+        signs = 0
+        while self.peek().kind == "OP" and self.peek().text == "-":
+            self.advance()
+            signs += 1
+        node = self.power()
+        for _ in range(signs):
+            node = Neg(node)
+        return node
+
+    def power(self) -> Expr:
+        node = self.atom()
+        while self.peek().kind == "OP" and self.peek().text == "^":
+            self.advance()
+            tok = self.peek()
+            if tok.kind != "INT":
+                raise ParseError(tok.pos, {"nonnegative integer exponent"}, tok.text)
+            self.advance()
+            node = Pow(node, _text_int(tok.text))
+        return node
+
+    def atom(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "INT":
+            self.advance()
+            num = _text_int(tok.text)
+            nxt = self.peek()
+            if nxt.kind == "OP" and nxt.text == "/":
+                self.advance()
+                den_tok = self.peek()
+                if den_tok.kind != "INT":
+                    raise ParseError(den_tok.pos, {"integer denominator"}, den_tok.text)
+                self.advance()
+                if _text_int(den_tok.text) == 0:
+                    raise ParseError(den_tok.pos, {"nonzero denominator"}, den_tok.text)
+                return Num(Fraction(num, _text_int(den_tok.text)))
+            return Num(Fraction(num))
+        if tok.kind == "NAME":
+            if tok.text not in self.names:
+                raise ParseError(tok.pos, set(self.names), tok.text)
+            self.advance()
+            return Sym(tok.text)
+        if tok.kind == "OP" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(tok.pos, {f"at most {MAX_NESTING} nested parentheses"}, tok.text)
+            self.advance()
+            self.depth += 1
+            node = self.expr()
+            self.depth -= 1
+            closing = self.peek()
+            if not (closing.kind == "OP" and closing.text == ")"):
+                raise ParseError(closing.pos, {"')'"}, closing.text)
+            self.advance()
+            return node
+        raise ParseError(tok.pos, {"integer", "'('"} | set(self.names), tok.text)
+
+
+def ref_parse(text: str, names: tuple[str, ...], implicit_mul: bool):
+    """The tree of text, or its ParseError, from a character-loop tokenizer
+    and a five-production recursive descent ('^' a production of its own).
+
+    A second reading of the grammar in gha.parser, kept for comparison:
+    trees, error offsets, expected sets and found texts must all agree.
+    """
+    parser = _Parser(_tokenize(text), names, implicit_mul)
+    node = parser.expr()
+    tail = parser.peek()
+    if tail.kind != "END":
+        raise ParseError(tail.pos, {"operator", "end of input"}, tail.text)
+    return node
 
 
 # --- derivations, expanded term by term ----------------------------------

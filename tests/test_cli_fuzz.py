@@ -18,6 +18,10 @@ _ints = st.integers(0, 12).map(str)
 _numbers = _ints | st.tuples(_ints, st.integers(1, 12).map(str)).map("/".join)
 _exponents = st.integers(0, 3).map(str)
 _operators = st.sampled_from([" + ", " - ", "*"])
+# raw text: the grammar's characters, decimal digits 1 of other scripts, word
+# characters that are no letters ('²', '½', 'Ⅻ', '_'), a letter outside ASCII
+# and spaces that are not ' '
+_RAW = "xyhz()+-*^/0123 ١１²½Ⅻé_\x1c　\xa0"
 
 
 def _expressions(names, depth=3):
@@ -38,7 +42,7 @@ def _expressions(names, depth=3):
     )
     if depth < 3:
         return well_formed
-    return st.one_of([well_formed] * 7 + [st.text("xyhz()+-*^/0123 ", min_size=1, max_size=6)])
+    return st.one_of([well_formed] * 7 + [st.text(_RAW, min_size=1, max_size=6)])
 
 
 _elements = _expressions(["x", "y", "h", "z", "zeta"])

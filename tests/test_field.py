@@ -20,7 +20,6 @@ from gha.field import (
     RATIONALS,
     FieldDesc,
     FieldElement,
-    cyclotomic_coeffs,
     cyclotomic_polynomial,
     degree_cap,
     divisors,
@@ -182,6 +181,11 @@ KNOWN_CYCLOTOMICS = {
 }
 
 
+def cyclotomic_coeffs(m):
+    """Ascending coefficients of Phi_m as Fractions."""
+    return tuple(c.as_fraction() for c in cyclotomic_polynomial(m).coeffs)
+
+
 def test_cyclotomic_coeffs_against_table():
     for m, coeffs in KNOWN_CYCLOTOMICS.items():
         assert cyclotomic_coeffs(m) == tuple(Fraction(c) for c in coeffs)
@@ -207,6 +211,28 @@ def test_cyclotomic_product_recovers_power_minus_one():
 def test_cyclotomic_polynomial_text():
     assert cyclotomic_polynomial(6).to_text("t") == "t^2 - t + 1"
     assert cyclotomic_polynomial(1).to_text("t") == "t - 1"
+
+
+def test_cyclotomic_polynomial_is_capped_and_factors_once(monkeypatch):
+    # Phi_m is built from the prime powers the capped field degree found: an
+    # index past the cap is refused as FieldDesc(m).degree is, and a field
+    # factors its m once for both
+    set_degree_cap(100_000)
+
+    def refuse():
+        with pytest.raises(DegreeCapExceeded,
+                           match=r"^field degree phi\(2305843009213693951\) exceeds the cap 100000$"):
+            cyclotomic_polynomial(2 ** 61 - 1)
+
+    assert line_events(gha.field._factor, refuse)[1] <= 2
+    with pytest.raises(DegreeCapExceeded, match=r"^field degree phi\(200003\) exceeds the cap 100000$"):
+        cyclotomic_polynomial(200003)
+    factored = []
+    factor = gha.field._factor
+    monkeypatch.setattr(gha.field, "_factor", lambda m, cap=None: factored.append(m) or factor(m, cap))
+    field = FieldDesc(360)
+    assert field.degree == 96 and len(field._cyclotomic) == 97
+    assert factored.count(360) == 1
 
 
 def test_rational_arithmetic():

@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from gha.core import AlgebraElement, Context, generators
-from gha.errors import ParseError
-from gha.field import FieldDesc, FieldElement, RATIONALS
-from gha.parser import (
-    MAX_NESTING, Add, Mul, Num, Pow, Sym, evaluate, parse, parse_element, parse_poly,
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from gha.core import AlgebraElement, Context, generators  # noqa: E402
+from gha.errors import ParseError  # noqa: E402
+from gha.field import FieldDesc, FieldElement, RATIONALS  # noqa: E402
+from gha.parser import (  # noqa: E402
+    _ELEMENT_NAMES, _POLY_NAMES, MAX_NESTING, Add, Mul, Num, Pow, Sym, _parse, evaluate, parse,
+    parse_element, parse_poly,
 )
 
-from .helpers import random_element
+from .helpers import random_element, ref_parse  # noqa: E402
 
 
 @pytest.fixture
@@ -202,3 +206,37 @@ def test_long_chains_fold_without_recursion(ctx):
 def test_evaluate_takes_only_expression_nodes(ctx):
     with pytest.raises(TypeError, match="^not an expression node: 'x'$"):
         evaluate("x", ctx)
+
+
+# --- against the character-loop reference ---------------------------------
+
+# lexemes of both grammars and near misses: other names, decimal digits of
+# other scripts, word characters that are no letters ('²', '½', 'Ⅻ', '_'),
+# a letter outside ASCII and spaces that are not ' '
+_PIECES = st.sampled_from([
+    "x", "y", "h", "z", "zeta", "w", "ze", "0", "07", "12", "/", "(", ")", "+", "-", "*", "^",
+    " ", "١", "１", "²", "½", "Ⅻ", "é", "_", "\x1c", "　", "\xa0",
+])
+_TEXTS = st.lists(_PIECES, max_size=16).map("".join)
+# the text inside MAX_NESTING - 1 to MAX_NESTING + 1 parentheses, closed or one short
+_NESTED = st.tuples(st.integers(MAX_NESTING - 1, MAX_NESTING + 1), _TEXTS, st.integers(0, 1)).map(
+    lambda t: "(" * t[0] + t[1] + ")" * (t[0] - t[2]))
+
+
+def _outcome(parser, text, names, implicit_mul):
+    """repr of the tree, or the ParseError's offset, expected set, found text and message."""
+    try:
+        return repr(parser(text, names, implicit_mul))
+    except ParseError as error:
+        return error.pos, error.expected, error.found, str(error)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_TEXTS, _TEXTS, _NESTED))
+@example("h²")  # a word character that is no letter ends the name before it
+@example("2h^3 - h(h+1)")
+@example("(" * 5000 + "h" + ")" * 5000)
+@example("1/0 + x @ 2")  # an invalid character wins over an earlier syntax error
+def test_parser_agrees_with_the_character_loop(text):
+    for names, implicit_mul in ((_ELEMENT_NAMES, False), (_POLY_NAMES, True)):
+        assert _outcome(_parse, text, names, implicit_mul) == _outcome(ref_parse, text, names, implicit_mul)
