@@ -26,7 +26,11 @@ class UnsupportedCase(GhaError):
 
 
 class ParseError(GhaError):
-    """Syntax error carrying the byte offset and the expected tokens."""
+    """Syntax error carrying the offset and the expected tokens.
+
+    pos counts code points of the text, not bytes of its UTF-8 encoding:
+    in "é²" the "²" is at offset 1, though its bytes start at 2.
+    """
 
     def __init__(self, pos: int, expected: Iterable[str], found: str = ""):
         self.pos = pos

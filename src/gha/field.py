@@ -337,7 +337,8 @@ def _kronecker_pays(a: list[int], b: list[int], ba: int, bb: int, need: int) -> 
     of a, Da and Db 30-bit int digits at most.  The substitution takes
     39 (la + lb)(w + 22), w its slot width: it pays the widest slot for every
     entry of both, so it loses on sparse operands and on bit-unbalanced ones
-    (a long, wide Horner accumulator times a short, narrow inner polynomial).
+    (a long sigma^p(g) of wide coefficients times a short, narrow factor w,
+    as core.multiply forms).
     With fewer than 32 nonzero entries in b it wins too rarely to scan for.
     """
     la, lb = len(a), len(b)

@@ -20,12 +20,6 @@ from .field import degree_cap, set_degree_cap  # noqa: F401  (re-exported by gha
 
 NEG_INF = float("-inf")
 
-# Poly.compose joins Horner leaves by balanced products from this result
-# degree on.  Below it the joins are short schoolbook sweeps, where Horner's
-# rule over the whole outer polynomial does less work: on random operands
-# the joins took 1.1-1.9 times as long at result degrees 128-256.
-_JOIN_DEGREE = 512
-
 
 class Poly(_Pair):
     """Immutable dense polynomial over Q or Q(zeta_m).
@@ -138,15 +132,15 @@ class Poly(_Pair):
         """self(inner), on integer rows over one denominator.
 
         With inner = N/d, a block of m coefficients c_0..c_(m-1) stands for
-        the integer rows d^(m-1) * sum c_j (N/d)^j, which Horner's rule,
-        acc <- acc*N + c_j*d^(m-1-j), computes.  A left block L of m
+        the integer rows d^(m-1) * sum c_j (N/d)^j.  Each coefficient of
+        self starts as a block of one, its own row.  A left block L of m
         coefficients and the block R after it, of r, join as
-        d^r * L + N^m * R.  From a result degree of _JOIN_DEGREE on, self is
-        cut into blocks of 8 that join in pairs, then blocks of 16 with
-        N^16, and so on, so that the long products have operands of like
-        length; below it, and for self of at most 8 coefficients, one
-        block is all of self.  The whole of self, n + 1 coefficients, ends
-        at d^n * den(self) * self(inner).
+        d^r * L + N^m * R: blocks of 1 join in pairs with N, then blocks of 2
+        with N^2, and so on, N^m by repeated squaring, until one block is
+        left, so that the long products have operands of like length.  For
+        self of degree n >= 1 that is n joins and ceil(log2(n+1)) - 1
+        squarings.  The whole of self, n + 1 coefficients, ends at
+        d^n * den(self) * self(inner).
         """
         o = self._coerce(inner)
         if o is None:
@@ -156,16 +150,7 @@ class Poly(_Pair):
         field, phi, num, d = self.field, self.field.degree, self.num, o.den
         if o.is_zero or not num:
             return Poly._from_ints(field, list(num[:phi]), self.den)
-        size = 8 * phi if self.degree * o.degree >= _JOIN_DEGREE else len(num)
-        blocks = []  # (integer rows, number of coefficients)
-        for lo in range(0, len(num), size):
-            leaf = num[lo:lo + size]
-            acc, scale = list(leaf[-phi:]), 1
-            for j in range(len(leaf) - 2 * phi, -1, -phi):
-                scale *= d
-                acc = _mul(acc, o.num, field)
-                acc[:phi] = [x + scale * c for x, c in zip(acc, leaf[j:j + phi])]
-            blocks.append((acc, len(leaf) // phi))
+        blocks = [(list(num[lo:lo + phi]), 1) for lo in range(0, len(num), phi)]  # (rows, coefficients)
         step, width = o.num, 1  # N^width
         while len(blocks) > 1:
             while width < blocks[0][1]:  # every block but the last is as long as the first

@@ -167,11 +167,13 @@ class GradingFamily(_Value):
         return (l * dx, l * dy, l * dh)
 
     def contains(self, triple: tuple[int, int, int]) -> bool:
-        dx, dy, dh = triple
-        return dh == 0 and dx + dy == 0
+        """Whether triple is l * generator for an integer l; of the zero generator, only 0."""
+        l = next((t // g for t, g in zip(triple, self.generator) if g), 0)
+        return tuple(triple) == self.member(l)
 
     def __str__(self):
-        return "(l, -l, 0) for every integer l"
+        terms = ("0" if not g else {1: "l", -1: "-l"}.get(g, f"{g}l") for g in self.generator)
+        return f"({', '.join(terms)}) for every integer l"
 
 
 def _support(p: Poly) -> list[int]:

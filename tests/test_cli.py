@@ -697,6 +697,14 @@ def test_superscript_digit_is_a_syntax_error(capsys):
     assert "offset 2" in err
 
 
+def test_syntax_error_offset_counts_code_points(capsys):
+    # "é" is one code point and two UTF-8 bytes; the offset counts code points
+    code, out, err = invoke(capsys, "--f", "h", "nf", "é²")
+    assert (code, out) == (2, "") and "syntax error at offset 1:" in err
+    code, out, err = invoke(capsys, "--f", "h", "nf", "x + é")
+    assert (code, out) == (2, "") and "syntax error at offset 4:" in err
+
+
 def test_text_mode_builds_no_json(monkeypatch, capsys):
     def refuse(*_):
         raise AssertionError("JSON built in text mode")

@@ -160,13 +160,15 @@ def _ref_scalar(rng, m):
 
 @pytest.mark.parametrize("m", [1, 3, 12])
 @pytest.mark.parametrize("inner_degree", [-1, 0, 1, 2])
-def test_compose_past_one_horner_leaf_matches_reference(monkeypatch, m, inner_degree):
-    # outers of more than 8 coefficients are built from Horner leaves of 8
-    # joined by products with N^8, N^16, ...: from a result degree of 512 on,
-    # here from every degree
-    monkeypatch.setattr(poly, "_JOIN_DEGREE", 0)
+def test_compose_past_one_horner_leaf_matches_reference(m, inner_degree):
+    # every coefficient of the outer is a leaf of its own, a block of one;
+    # blocks join in pairs by products with N, N^2, N^4, ...: an outer of
+    # 2^k coefficients takes k levels of joins, one of 65 takes seven, and the
+    # odd block left at the end of a level joins one level later (the
+    # reference is slow over an inner of degree 2, so there the outer
+    # stops at degree 40)
     rng = random.Random(m * 10 + inner_degree)
-    degrees = [*range(18), 23, 24, 25, 31, 32, 33, 40]
+    degrees = [*range(18), 23, 24, 25, 31, 32, 33, 40, 63, 64, 65]
     if inner_degree == 2:
         degrees = [7, 8, 9, 15, 16, 17, 40]
     for n in degrees:
@@ -178,14 +180,39 @@ def test_compose_past_one_horner_leaf_matches_reference(monkeypatch, m, inner_de
         assert P(FieldElement(FieldDesc(m), x)).coords == ref_eval(m, p, x)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_compose_of_degree_n_makes_n_joins_and_its_squarings(monkeypatch, m):
+    # n + 1 blocks of one coefficient take n joins over ceil(log2(n + 1))
+    # levels, and every level after the first squares N^width once; a
+    # constant outer is its own block and forms no product
+    rng = random.Random(m)
+
+    def random_poly(degree):
+        coeffs = [_ref_scalar(rng, m) for _ in range(degree)]
+        lead = (Fraction(rng.randint(1, 9), rng.randint(1, 4)),) + _ref_scalar(rng, m)[1:]
+        return to_poly(m, coeffs + [lead])
+
+    calls = []
+    mul = poly._mul
+    monkeypatch.setattr(poly, "_mul", lambda a, b, field: calls.append(1) or mul(a, b, field))
+    for inner_degree in (1, 2, 3):
+        inner = random_poly(inner_degree)
+        for n in range(71):
+            outer = random_poly(n)
+            calls.clear()
+            outer.compose(inner)
+            assert len(calls) == (n + (n.bit_length() - 1) if n else 0), (inner_degree, n)
+
+
 def test_compose_of_a_tower_entry_with_itself_counts_its_convolutions(monkeypatch):
-    # sigma^4(h) for f = h^3 + h has 82 coefficients: ten Horner leaves of 8
-    # (7 products each) and one of 2 (1 product), N^8 by three squarings,
-    # then 5 + 3 + 1 + 1 joins with N^8, N^16, N^32, N^64 between three more
-    # squarings: 87 products.  The top leaf starts at the leading 1, so its
-    # product copies N: 86 convolutions.  Every operand lies in h^o K[h^2], so
-    # each product of two operands of 32 entries or more convolves every other
-    # entry, one more call: all but the first product of each leaf of 8, 76.
+    # sigma^4(h) for f = h^3 + h has 82 coefficients, each a block of one:
+    # 41 + 20 + 10 + 5 + 3 + 1 + 1 = 81 joins with N, N^2, ..., N^64 and six
+    # squarings, 87 products.  The first level multiplies N by one row each,
+    # and two of those rows, of h and of h^81, are 1, so their products copy
+    # N: 39 convolutions with a shorter operand of one entry.  sigma^4(h) is
+    # odd, so every block after the first level lies in h^o K[h^2], and each
+    # of the other 46 products, of two operands of 41 entries or more,
+    # convolves every other entry, one more call: 39 + 2 * 46 = 131.
     f = parse_poly("h^3 + h", FieldDesc(1))
     s = Context(f).sigma_h(4)
     calls = []  # length of the shorter operand
@@ -199,8 +226,8 @@ def test_compose_of_a_tower_entry_with_itself_counts_its_convolutions(monkeypatc
     out = s.compose(s)
     monkeypatch.undo()
     assert out == Context(f).sigma_h(8)
-    assert len(calls) == 86 + 76
-    assert sum(n < 32 for n in calls) == 10
+    assert len(calls) == 39 + 2 * 46
+    assert sum(n < 32 for n in calls) == 39
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -447,8 +474,12 @@ def test_cyclotomic_product_convolves_in_words(monkeypatch):
     # draws them: six terms (i, k), each a polynomial of degree 1 in h whose
     # coordinates are +-1..3 over 1..3.  Every convolution whose shorter
     # operand has _WORD_LENGTH entries or more and whose product fits a word
-    # takes packed words, here every one of them; a clock-free guard of the
-    # gain, as the sweep takes several times as long on these rows
+    # takes packed words; a clock-free guard of the gain, as the sweep takes
+    # several times as long on these rows.  All but two are eligible: the
+    # product builds sigma^2(h) = f(f) and sigma^3(h) = f(sigma^2(h)), and
+    # each forms zeta * N, N the inner polynomial, as a join of the blocks
+    # 0 and zeta, whose single row, spread to stride 3 and 5, has fewer than
+    # _WORD_LENGTH entries and takes the sweep
     q7 = FieldDesc(7)
 
     def operands():  # in a new Context, so no sigma is remembered from the last product
@@ -478,7 +509,7 @@ def test_cyclotomic_product_convolves_in_words(monkeypatch):
     monkeypatch.setattr(field, "_convolve_words", lambda a, b, need: (
         packed.append(sorted((len(a), len(b)))) or convolve_words(a, b, need)))
     want = x * y
-    assert packed == eligible == shapes and len(shapes) > 50
+    assert packed == eligible and len(shapes) == len(eligible) + 2 and len(shapes) > 50
     x, y = operands()
     monkeypatch.setattr(field, "_WORD_LENGTH", 10 ** 9)  # every product by the sweep
     assert x * y == want and len(packed) == len(eligible)

@@ -303,6 +303,27 @@ def test_grading_family_shape():
     assert str(fam) == "(l, -l, 0) for every integer l"
 
 
+@pytest.mark.parametrize("generator, text", [
+    ((2, -2, 0), "(2l, -2l, 0) for every integer l"),
+    ((-3, 1, 5), "(-3l, l, 5l) for every integer l"),
+    ((0, 0, -1), "(0, 0, -l) for every integer l"),
+    ((0, 0, 0), "(0, 0, 0) for every integer l"),
+])
+def test_grading_family_of_another_generator(generator, text):
+    fam = GradingFamily(generator)
+    assert str(fam) == text
+    for l in range(-7, 8):
+        assert fam.contains(fam.member(l))
+    others = [(1, -1, 0), (3, -3, 0), (2, -2, 1), (1, 0, 0), (0, 0, 1), (-1, 1, 0), (4, -3, 0)]
+    for triple in others:
+        multiple = any(fam.member(l) == triple for l in range(-5, 6))
+        assert fam.contains(triple) == multiple, triple
+    if generator == (2, -2, 0):
+        assert not fam.contains((1, -1, 0))
+    if generator == (0, 0, 0):
+        assert fam.contains((0, 0, 0)) and not any(map(fam.contains, others))
+
+
 def test_is_admissible_grading():
     ctx = ctx_for("h^2")
     assert is_admissible_grading(ctx, (1, -1, 0))
