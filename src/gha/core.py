@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import FieldMismatch, UnsupportedCase
-from .field import FieldDesc, FieldElement, _add, _int_text, _mul, _trim, check_degree, power
+from .field import FieldDesc, FieldElement, _add, _int_text, _mul, _Ring, _trim, check_degree, power
 from .poly import Poly, _fill, _sigma_tower
 from .poly import sigma_apply  # noqa: F401  (bench/layers.py rebinds core.sigma_apply by name)
 
@@ -94,8 +94,12 @@ class Generators(NamedTuple):
     z: "AlgebraElement"
 
 
-class AlgebraElement:
-    """A normal form: finite sum of x^i * g_{i,k}(h) * y^k."""
+class AlgebraElement(_Ring):
+    """A normal form: finite sum of x^i * g_{i,k}(h) * y^k.
+
+    Its +, -, * and truth come from field._Ring, through its hooks _coerce,
+    _plus, _times, __neg__ and is_zero.
+    """
 
     __slots__ = ("ctx", "terms")
 
@@ -143,9 +147,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self):
-        return not self.is_zero
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -175,41 +176,18 @@ class AlgebraElement:
             return AlgebraElement.from_scalar(self.ctx, other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _plus(self, o):
         out = dict(self.terms)
         for key, g in o.terms.items():
             cur = out.get(key)
             out[key] = g if cur is None else cur + g
         return AlgebraElement._of(self.ctx, {key: g for key, g in out.items() if g.num})
 
-    __radd__ = __add__
+    def _times(self, o):
+        return multiply(self, o)  # the module global: bench/layers.py and tests rebind core.multiply
 
     def __neg__(self):
         return AlgebraElement._of(self.ctx, {key: -g for key, g in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return multiply(self, o)
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return multiply(o, self)
 
     def __pow__(self, e: int) -> "AlgebraElement":
         """self^e by square-and-multiply, refused before the first product if one would pass the cap.

@@ -9,9 +9,11 @@ The kernel holds rationals as the pair (num, den): Python ints over one
 positive common denominator, in lowest terms, so equal values are equal
 pairs.  A scalar is one row of phi(m) coordinates; a polynomial is a flat
 tuple of such rows, one per coefficient.  One class, _Pair, builds both
-from kernel results and gives both +, -, *, ==, hash and embed; FieldElement and
-poly.Poly add only what a scalar or a polynomial has of its own.  Printers
-read the rows and write ints _CHUNK digits at a time, below any digit limit.
+from kernel results and gives both ==, hash and embed; its base _Ring,
+which core.AlgebraElement shares, gives all three +, -, * and truth from
+five hooks.  FieldElement and poly.Poly add only what a scalar or a
+polynomial has of its own.  Printers read the rows and write ints _CHUNK
+digits at a time, below any digit limit.
 
 Every product but one by the row 1, which _mul copies, is one integer
 convolution.  Two operands of 32 entries or more that share a step s > 1,
@@ -615,11 +617,50 @@ class FieldDesc(_Value):
 RATIONALS = FieldDesc(1)
 
 
-class _Pair:
-    """A value stored as the kernel pair (num, den) over `field`, with its ring operators.
+class _Ring:
+    """The ring operators +, -, * and truth, once for FieldElement, Poly and core.AlgebraElement.
 
-    A subclass gives `_canonical(num, phi)`, the canonical form of its rows,
-    and `_lift(value)`, a plain operand as a value of its class (else None).
+    A subclass gives five hooks: `_coerce(other)`, the operand as a value of
+    the subclass (None makes the operator return NotImplemented); `_plus(o)`
+    and `_times(o)`, the sum and product of two such values; `__neg__`; and
+    `is_zero`.  A reflected product is o._times(self): H(f) is not commutative.
+    """
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._plus(o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._plus(-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o._plus(-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._times(o)
+
+    def __rmul__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o._times(self)
+
+
+class _Pair(_Ring):
+    """A value stored as the kernel pair (num, den) over `field`.
+
+    It gives the five hooks of _Ring, _coerce, _plus, _times, __neg__ and
+    is_zero, on kernel rows.  A subclass gives `_canonical(num, phi)`, the
+    canonical form of its rows, and `_lift(value)`, a plain operand as a
+    value of its class (else None).
     """
 
     __slots__ = ("field", "num", "den")
@@ -641,9 +682,6 @@ class _Pair:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
     def _coerce(self, other):
         if isinstance(other, type(self)):
             if other.field != self.field:
@@ -651,33 +689,14 @@ class _Pair:
             return other
         return self._lift(other)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _plus(self, o):
         return self._from_ints(self.field, *_add(self.num, self.den, o.num, o.den))
 
-    __radd__ = __add__
+    def _times(self, o):
+        return self._from_ints(self.field, _mul(self.num, o.num, self.field), self.den * o.den)
 
     def __neg__(self):
         return self._from_ints(self.field, [-v for v in self.num], self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._from_ints(self.field, *_add(self.num, self.den, [-v for v in o.num], o.den))
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._from_ints(self.field, _mul(self.num, o.num, self.field), self.den * o.den)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

@@ -98,20 +98,11 @@ def check_derivation(d: DerivationSpec) -> bool:
 
 def derivation_homogeneous_parts(d: DerivationSpec) -> dict[int, DerivationSpec]:
     """Split into graded components d_r with d_r(H_l) contained in H_(l+r)."""
-    pieces: dict[int, dict[str, AlgebraElement]] = {}
-    for attr, image, gen_deg in (("im_x", d.im_x, 1), ("im_y", d.im_y, -1), ("im_h", d.im_h, 0)):
-        for l, part in homogeneous_parts(image).items():
-            pieces.setdefault(l - gen_deg, {})[attr] = part
+    parts = [{l - shift: part for l, part in homogeneous_parts(image).items()}
+             for image, shift in ((d.im_x, 1), (d.im_y, -1), (d.im_h, 0))]
     zero = AlgebraElement.zero(d.ctx)
-    return {
-        r: DerivationSpec(
-            d.ctx,
-            pieces[r].get("im_x", zero),
-            pieces[r].get("im_y", zero),
-            pieces[r].get("im_h", zero),
-        )
-        for r in sorted(pieces)
-    }
+    return {r: DerivationSpec(d.ctx, *(p.get(r, zero) for p in parts))
+            for r in sorted(set().union(*parts))}
 
 
 def classify_locally_finite(d: DerivationSpec) -> FieldElement | None:

@@ -148,16 +148,17 @@ class Poly(_Pair):
         if self.degree >= 1 and o.degree >= 1:
             check_degree(self.degree * o.degree)
         field, phi, num, d = self.field, self.field.degree, self.num, o.den
-        if o.is_zero or not num:
-            return Poly._from_ints(field, list(num[:phi]), self.den)
-        blocks = [(list(num[lo:lo + phi]), 1) for lo in range(0, len(num), phi)]  # (rows, coefficients)
+        if not num:
+            return self
+        # (rows, coefficients); a zero row is [], which _mul returns at once
+        blocks = [(_trim(list(num[lo:lo + phi]), phi), 1) for lo in range(0, len(num), phi)]
         step, width = o.num, 1  # N^width
         while len(blocks) > 1:
             while width < blocks[0][1]:  # every block but the last is as long as the first
                 step, width = _mul(step, step, field), 2 * width
             joined = []
             for (left, m), (right, r) in zip(blocks[::2], blocks[1::2]):
-                acc = _mul(right, step, field)
+                acc = _mul(right, step, field) or [0] * len(left)  # a zero R, or a zero inner
                 scale = d ** r
                 acc[:len(left)] = [x + scale * y for x, y in zip(acc, left)]
                 joined.append((acc, m + r))

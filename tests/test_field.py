@@ -9,17 +9,21 @@ import random
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import gha
 import gha.poly
+from gha.core import AlgebraElement, Context
 from gha.errors import DegreeCapExceeded, FieldMismatch, NoEmbedding, UnsupportedCase
 from gha.field import (
     RATIONALS,
     FieldDesc,
     FieldElement,
+    _Pair,
+    _Ring,
     cyclotomic_polynomial,
     degree_cap,
     divisors,
@@ -559,3 +563,22 @@ def test_scalar_and_polynomial_share_one_pair_class():
     assert not shared & set(vars(FieldElement)) and not shared & set(vars(Poly))
     assert FieldElement.__mro__[1] is Poly.__mro__[1]
     assert FieldElement.rational(3).desc == RATIONALS
+    # +, -, * and truth are written once, in _Ring, for all three value kinds
+    ring = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__bool__"}
+    for cls in (FieldElement, Poly, _Pair, AlgebraElement):
+        assert not ring & set(vars(cls)), cls
+    assert ring <= set(vars(_Ring)) and _Ring in AlgebraElement.__mro__
+
+
+@pytest.mark.parametrize("foreign", [0.5, Decimal(1), 1j, "1", object()], ids=repr)
+def test_a_foreign_operand_raises_type_error(foreign):
+    # no float, Decimal, complex or str mixes into an exact value, on either side
+    ctx = Context(Poly(RATIONALS, (0, 0, 1)))
+    values = (FieldElement.rational(Fraction(2, 3)), FieldElement.zeta(Q3),
+              Poly(Q3, (1, FieldElement.zeta(Q3))), AlgebraElement.from_poly(ctx, ctx.f))
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv, divmod)
+    for v in values:
+        for op in ops:
+            for a, b in ((v, foreign), (foreign, v)):
+                with pytest.raises(TypeError):
+                    op(a, b)

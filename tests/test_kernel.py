@@ -171,13 +171,23 @@ def test_compose_past_one_horner_leaf_matches_reference(m, inner_degree):
     degrees = [*range(18), 23, 24, 25, 31, 32, 33, 40, 63, 64, 65]
     if inner_degree == 2:
         degrees = [7, 8, 9, 15, 16, 17, 40]
+    # at a few degrees on either side of a power of 2 the outer is also taken
+    # nonzero only at the top, and zero at every other row, so that blocks of
+    # zero rows join with blocks that are not
     for n in degrees:
-        p = ref_trim(m, [_ref_scalar(rng, m) for _ in range(n + 1)])
+        dense = [_ref_scalar(rng, m) for _ in range(n + 1)]
+        zero = ref_zero(m)
+        sparse = [[zero] * n + dense[-1:],
+                  [c if j % 2 == 0 else zero for j, c in enumerate(dense)],
+                  [c if j % 2 else zero for j, c in enumerate(dense)]]
+        outers = [dense] + sparse * (n in (2, 3, 8, 9, 16, 17))
         q = ref_trim(m, [_ref_scalar(rng, m) for _ in range(inner_degree + 1)])
-        P, Q = to_poly(m, p), to_poly(m, q)
-        assert data(P.compose(Q)) == ref_compose(m, p, q)
-        x = _ref_scalar(rng, m)
-        assert P(FieldElement(FieldDesc(m), x)).coords == ref_eval(m, p, x)
+        Q = to_poly(m, q)
+        for p in [ref_trim(m, p) for p in outers]:
+            P = to_poly(m, p)
+            assert data(P.compose(Q)) == ref_compose(m, p, q)
+            x = _ref_scalar(rng, m)
+            assert P(FieldElement(FieldDesc(m), x)).coords == ref_eval(m, p, x)
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -228,6 +238,28 @@ def test_compose_of_a_tower_entry_with_itself_counts_its_convolutions(monkeypatc
     assert out == Context(f).sigma_h(8)
     assert len(calls) == 39 + 2 * 46
     assert sum(n < 32 for n in calls) == 39
+
+
+def test_compose_convolves_no_zero_operand(monkeypatch):
+    # a zero coefficient row starts as the empty block, and a join whose right
+    # block is empty, or whose inner is zero, forms no product: _mul returns []
+    # for an empty operand before any convolution, so no block of zero rows
+    # and no zero power of the inner ever reaches _convolve
+    zeros = []
+    convolve = field._convolve
+
+    def recording(a, b):
+        zeros.append(not any(a) or not any(b))
+        return convolve(a, b)
+
+    q3 = FieldDesc(3)
+    monkeypatch.setattr(field, "_convolve", recording)
+    parse_element("(x+y)^8", Context(parse_poly("h^2")))
+    parse_poly("h^5 + 3").compose(parse_poly("h^3 - h"))
+    parse_poly("h^6 + zeta*h^2", q3).compose(parse_poly("h^2 + zeta", q3))
+    parse_poly("h^4 + 2*h").compose(Poly.zero(FieldDesc(1)))
+    monkeypatch.undo()
+    assert zeros and sum(zeros) == 0
 
 
 @pytest.mark.parametrize("m", [1, 3])
