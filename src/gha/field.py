@@ -15,17 +15,21 @@ five hooks.  FieldElement and poly.Poly add only what a scalar or a
 polynomial has of its own.  Printers read the rows and write ints _CHUNK
 digits at a time, below any digit limit.
 
-Every product but one by the row 1, which _mul copies, is one integer
-convolution.  Two operands of 32 entries or more that share a step s > 1,
-each nonzero only at o, o + s, o + 2s, ..., convolve every s-th entry:
-sigma^k(h) lies in h K[h^s] when s divides i - 1 for every power h^i of
-f, as 2 does for h^3 + h.  A convolution then takes one of three paths.
+Every product but one by the row 1, which _mul copies, is an integer
+convolution.  Of two operands of 32 entries or more, one that has a step
+s > 1, nonzero only at o, o + s, o + 2s, ..., is enough: it is taken
+every s-th entry, and the other is split into its s residue classes, each
+convolved with it apart.  sigma^k(h) lies in h K[h^s] when s divides
+i - 1 for every power h^i of f, as 2 does for h^3 + h.  A square stays a
+square: its one operand is spread, compressed and packed once.  A
+convolution then takes one of three paths.
 Packed words: when every entry of the product fits a signed 64-bit word,
 each operand becomes one int through struct-packed machine words and the
 two are multiplied once (binary Kronecker substitution), all in C; most
 products over Q(zeta_m) of small coordinates go this way.  Decimal: long,
 dense operands of comparable bit size, too wide for a word, are packed
-into one decimal number each and multiplied by libmpdec, whose
+into one decimal number each, a negative entry borrowing from the next
+slot, and multiplied by libmpdec, whose
 number-theoretic transform makes the product subquadratic; with the
 pure-Python _pydecimal this path is left out.  The schoolbook sweep:
 short operands, and wide ones where decimal does not pay.  One bound,
@@ -240,11 +244,15 @@ def _add(a: list[int], da: int, b: list[int], db: int) -> tuple[list[int], int]:
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Integer convolution, by one of three paths.
+    """Integer convolution, by one of three paths; a square, b is a, packs and multiplies once.
 
-    When both operands have 32 entries or more and each lies in t^o K[t^s]
-    for one common step s > 1 (its nonzero entries at o, o + s, o + 2s, ...),
-    first the convolution of every s-th entry, written back at stride s.
+    When both operands have 32 entries or more and one of them lies in
+    t^o K[t^s] for a step s > 1 (its nonzero entries at o, o + s, o + 2s,
+    ...), the operand of the larger step is taken every s-th entry and the
+    other is split into its s residue classes, each from its first nonzero
+    entry: each nonzero class is convolved once with the stepped one and
+    written back at stride s from its own offset.  Two operands of one step
+    leave one nonzero class, and a square one call.
     Otherwise, with a shorter operand of _WORD_LENGTH entries or more,
     need, the bits that hold twice any entry of the product, decides:
     packed words (_convolve_words) when need < 64, so every entry fits a
@@ -257,20 +265,15 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     lb = len(b)
-    if lb >= 32:
-        # the first three nonzero positions of each: a mixed operand shows step 1 here
-        heads = [list(islice(compress(range(len(v)), v), 3)) for v in (a, b)]
-        if all(heads):  # neither is all zero
-            (oa, *_), (ob, *_) = heads
-            s = math.gcd(*[p - h[0] for h in heads for p in h[1:]])
-            if s > 1:
-                s = math.gcd(s, *compress(range(-oa, len(a) - oa), a),
-                             *compress(range(-ob, len(b) - ob), b))
-            if s > 1:
-                short = _convolve(a[oa::s], b[ob::s])
-                out = [0] * (len(a) + len(b) - 1)
-                out[oa + ob:oa + ob + s * len(short):s] = short
-                return out
+    if lb >= 32 and (sa := _step(a)) and (sb := _step(b)):
+        (o, s), stepped, other = (sa, a, b) if sa[1] >= sb[1] else (sb, b, a)
+        if s > 1:
+            short = stepped[o::s]
+            out = [0] * (len(a) + len(b) - 1)
+            for q, part in [(o, short)] if other is stepped else _classes(other, s):
+                c = _convolve(short, part)
+                out[o + q:o + q + s * len(c):s] = c
+            return out
     if lb >= _WORD_LENGTH:
         ba, bb = _bits(a), _bits(b)
         need = ba + bb + lb.bit_length() + 1  # bits that hold twice any entry of the product
@@ -283,6 +286,33 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     for j, y in enumerate(b):
         if y:
             out[j:j + n] = [s + y * x for s, x in zip(out[j:j + n], a)]
+    return out
+
+
+def _step(v: list[int]) -> tuple[int, int] | None:
+    """(o, s): v's first nonzero entry and the largest s with v in t^o K[t^s]; None if v is zero.
+
+    s is 0 for a single nonzero entry, and 1 at once when the first three
+    nonzero entries show no common step, as they do in a mixed operand.
+    """
+    head = list(islice(compress(range(len(v)), v), 3))
+    if not head:
+        return None
+    o = head[0]
+    s = math.gcd(*[p - o for p in head[1:]])
+    if s > 1:
+        s = math.gcd(s, *compress(range(-o, len(v) - o), v))
+    return o, s
+
+
+def _classes(v: list[int], s: int) -> list[tuple[int, list[int]]]:
+    """(q, v[q::s]) for each residue class of v mod s that is not zero, q its first nonzero entry."""
+    out = []
+    for r in range(s):
+        part = v[r::s]
+        first = next(compress(range(len(part)), part), None)
+        if first is not None:
+            out.append((r + s * first, part[first:]))
     return out
 
 
@@ -304,14 +334,19 @@ def _convolve_words(a: list[int], b: list[int], need: int) -> list[int]:
     bit, where set, is taken off.  Adding the top bit S of every slot to the
     product puts each slot, entry + 2^(width - 1), in [0, 2^width); flipping
     S back leaves the slots in two's complement, which struct reads.  Every
-    step runs in C, and no coefficient becomes text.
+    step runs in C, and no coefficient becomes text.  A square, b is a,
+    is packed once and multiplied by itself.
     """
     code, width, top = _WORDS[need.bit_length()]
     n = len(a) + len(b) - 1
     mask = int.from_bytes(top * n, "little")  # S over the product's n slots, and so over each operand's
-    ua = int.from_bytes(pack(f"<{len(a)}{code}", *a), "little")
-    ub = int.from_bytes(pack(f"<{len(b)}{code}", *b), "little")
-    product = (ua - ((ua & mask) << 1)) * (ub - ((ub & mask) << 1))
+
+    def packed(v):
+        u = int.from_bytes(pack(f"<{len(v)}{code}", *v), "little")
+        return u - ((u & mask) << 1)
+
+    ua = packed(a)
+    product = ua * (ua if b is a else packed(b))
     return list(unpack(f"<{n}{code}", ((product + mask) ^ mask).to_bytes(n * width // 8, "little")))
 
 
@@ -354,29 +389,44 @@ def _convolve_ks(a: list[int], b: list[int], need: int) -> list[int]:
     """Integer convolution by Kronecker substitution into one libmpdec product.
 
     Each list is read as the slots of one decimal number, w digits a slot,
-    its positive and its negative entries packed apart and subtracted.
-    w digits hold the need bits that _convolve computed as room for twice
-    the largest |entry| of the result, so after 5*10^(w-1) is added to
-    every slot of the product, each slot holds entry + 5*10^(w-1) in
-    [0, 10^w) and is read off the digit string.
+    packed by one create_decimal: a negative entry is written as 10^w + entry
+    and borrows 1 from the next slot, and a borrow out of the top slot is
+    taken off as 10^(w * len(v)).  A square, b is a, is packed once and
+    multiplied by itself.  w digits hold the need bits that _convolve
+    computed as room for twice the largest |entry| of the result, so each
+    entry lies in [-10^w / 2, 10^w / 2) and the product's slots are read
+    back from its digits, lowest first, with a carry: a slot of 10^w / 2 or
+    more is slot - 10^w and carries 1 into the next.  A negative product is
+    read from its magnitude and every entry negated.
     Ints become text through decimal and text becomes ints in chunks below
     any digit limit, so no coefficient size is refused.
     """
     w = _slot_digits(need)
-    zero, ctx = "0" * w, _KRONECKER
-
-    def digits(v: list[int], sign: int) -> str:
-        return "".join(_int_text(sign * c).zfill(w) if sign * c > 0 else zero for c in reversed(v))
+    zero, ctx, scale = "0" * w, _KRONECKER, 10 ** w
 
     def packed(v: list[int]):
-        pos = ctx.create_decimal(digits(v, 1))
-        return ctx.subtract(pos, ctx.create_decimal(digits(v, -1))) if min(v) < 0 else pos
+        slots, borrow = [], 0
+        for c in v:
+            c -= borrow
+            borrow = c < 0
+            slots.append(_int_text(c + scale) if borrow else _int_text(c).zfill(w) if c else zero)
+        digits = "".join(reversed(slots))
+        del slots  # not held beside the digits and the number they make
+        number = ctx.create_decimal(digits)
+        return ctx.subtract(number, ctx.scaleb(1, w * len(v))) if borrow else number
 
-    n = len(a) + len(b) - 1
-    offset = 5 * 10 ** (w - 1)
-    text = str(ctx.add(ctx.multiply(packed(a), packed(b)), ctx.create_decimal(("5" + zero[1:]) * n)))
-    text = text.zfill(n * w)
-    return [_text_int(text[i - w:i]) - offset for i in range(n * w, 0, -w)]
+    # a square packs once; neither operand outlives the product
+    text = str(ctx.multiply(*([packed(a)] * 2 if b is a else [packed(a), packed(b)])))
+    negative = text[0] == "-"
+    half, carry, out = scale >> 1, 0, []
+    for i in range(len(text), negative, -w):
+        c = _text_int(text[max(i - w, negative):i]) + carry
+        carry = c >= half
+        out.append(c - scale if carry else c)
+    if carry:
+        out.append(1)
+    out += [0] * (len(a) + len(b) - 1 - len(out))
+    return [-c for c in out] if negative else out
 
 
 def _restride(num: list[int], old: int, new: int, rows: int) -> list[int]:
@@ -424,7 +474,8 @@ def _mul(a: list[int], b: list[int], field: "FieldDesc") -> list[int]:
     A product by the row 1 (1, 0, ...) copies the other operand.  Any other
     convolves the rows spread to stride ha + hb + 1, ha and hb the highest
     zeta powers in a and b, so no power of a row product reaches the next
-    row; only a stride above phi needs reducing mod Phi_m.
+    row; only a stride above phi needs reducing mod Phi_m.  A square, b is
+    a, is spread once, so that _convolve sees one operand twice.
     """
     if not a or not b:
         return []
@@ -437,8 +488,9 @@ def _mul(a: list[int], b: list[int], field: "FieldDesc") -> list[int]:
     if phi == 1:
         return _convolve(a, b)
     stride = max(_top(a, phi) + _top(b, phi) + 1, 1)
-    wide = [_restride(v, phi, stride, len(v) // phi) for v in (a, b)]
-    return _reduce(_convolve(*wide), field, stride)
+    wa = _restride(a, phi, stride, len(a) // phi)
+    wb = wa if b is a else _restride(b, phi, stride, len(b) // phi)
+    return _reduce(_convolve(wa, wb), field, stride)
 
 
 def _divmod(a: list[int], da: int, b: list[int], db: int, field: "FieldDesc"):

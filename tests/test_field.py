@@ -570,7 +570,8 @@ def test_scalar_and_polynomial_share_one_pair_class():
     assert ring <= set(vars(_Ring)) and _Ring in AlgebraElement.__mro__
 
 
-@pytest.mark.parametrize("foreign", [0.5, Decimal(1), 1j, "1", object()], ids=repr)
+@pytest.mark.parametrize("foreign", [0.5, Decimal(1), 1j, "1", object()],
+                         ids=lambda v: "object()" if type(v) is object else repr(v))  # no address in an id
 def test_a_foreign_operand_raises_type_error(foreign):
     # no float, Decimal, complex or str mixes into an exact value, on either side
     ctx = Context(Poly(RATIONALS, (0, 0, 1)))

@@ -240,6 +240,44 @@ def test_compose_of_a_tower_entry_with_itself_counts_its_convolutions(monkeypatc
     assert sum(n < 32 for n in calls) == 39
 
 
+def test_tower_entry_times_a_dense_row_convolves_each_half_once(monkeypatch):
+    # sigma^6(h) for f = h^3 + h, 730 entries, is odd and a dense row of 82
+    # is not stepped: the tower entry is taken every other entry, 365, and
+    # the row is split into its even and its odd entries, 41 each
+    s = Context(parse_poly("h^3 + h", FieldDesc(1))).sigma_h(6)
+    rng = random.Random(6)
+    row = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(82)]
+    calls = []
+    convolve = field._convolve
+    monkeypatch.setattr(field, "_convolve", lambda a, b: (
+        calls.append((len(a), len(b))) or convolve(a, b)))
+    out = s * Poly._from_ints(FieldDesc(1), row, 1)
+    monkeypatch.undo()
+    assert s.den == 1 and len(s.num) == 730
+    assert list(out.num) == ref_convolve(list(s.num), row)
+    assert calls == [(730, 82), (365, 41), (365, 41)]
+
+
+@KERNEL
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 3), st.integers(0, 3),
+       st.integers(32, 90), st.integers(32, 90), st.sampled_from([1, 30, 700]), st.data())
+def test_stepped_convolution_matches_schoolbook(sa, sb, oa, ob, la, lb, size, draw):
+    # any two steps, offsets and lengths, a single nonzero entry (step 0)
+    # and a square among them
+    def row(s, o, n):
+        kind = draw.draw(st.sampled_from(["stepped", "monomial"]))
+        out = [0] * n
+        for i in range(o, n, s) if kind == "stepped" else [o]:
+            out[i] = draw.draw(st.integers(-10 ** size, 10 ** size))
+        return out
+
+    a, b = row(sa, oa, la), row(sb, ob, lb)
+    if draw.draw(st.booleans()):
+        b = a
+    assert field._convolve(a, b) == ref_convolve(a, b)
+    assert field._convolve(b, a) == ref_convolve(a, b)
+
+
 def test_compose_convolves_no_zero_operand(monkeypatch):
     # a zero coefficient row starts as the empty block, and a join whose right
     # block is empty, or whose inner is zero, forms no product: _mul returns []
@@ -398,6 +436,7 @@ def int_row(draw):
 
 
 BIG = 10 ** 5000 + 7  # 5001 digits, past the default int/str digit limit of 4,300
+SQUARE = [-BIG, 3, 0, -1, BIG]  # one list passed as both operands, packed once
 
 
 @NEEDS_LIBMPDEC
@@ -406,9 +445,46 @@ BIG = 10 ** 5000 + 7  # 5001 digits, past the default int/str digit limit of 4,3
 @example([BIG, 0, -BIG], [-BIG, 1])
 @example([-1], [BIG])
 @example([0, 0], [0])
+@example(SQUARE, SQUARE)
+@example([-5, -BIG, -1, -(10 ** 700)], [-3, -7])  # all negative: a borrow from every slot
+@example([4, 0, 9, -1], [2, 5])  # the last entry negative: a borrow out of the top slot
+@example([1, 2, -3], [4, 5, 6])  # a negative top slot, so a negative product
+@example([0, 0, 0], [5, -BIG])  # an all-zero operand times a negative one: the product -0
 def test_kronecker_convolution_matches_schoolbook(a, b):
     need = field._bits(a) + field._bits(b) + min(len(a), len(b)).bit_length() + 1
     assert _convolve_ks(a, b, need) == ref_convolve(a, b)
+    need = 2 * field._bits(a) + len(a).bit_length() + 1
+    assert _convolve_ks(a, a, need) == ref_convolve(a, a)
+
+
+@NEEDS_LIBMPDEC
+def test_tower_self_composition_packs_each_decimal_once(monkeypatch):
+    # sigma^4(h) o sigma^4(h) over h^3 + h makes 27 decimal products, and 5
+    # of them square N^width: one packed object, passed twice.  Each
+    # operand is one create_decimal of its signed slots, no offset number
+    # is added to a product, and the 49 numbers hold 6.18M digits (the
+    # entries are positive, so no borrow reaches a top slot)
+    class Counting:  # the methods of the C context cannot be patched
+        def __init__(self, ctx):
+            self.ctx, self.calls = ctx, []
+
+        def __getattr__(self, name):
+            method = getattr(self.ctx, name)
+            return lambda *args: self.calls.append((name, args)) or method(*args)
+
+    f = parse_poly("h^3 + h", FieldDesc(1))
+    s = Context(f).sigma_h(4)
+    counting = Counting(field._KRONECKER)
+    monkeypatch.setattr(field, "_KRONECKER", counting)
+    out = s.compose(s)
+    monkeypatch.undo()
+    assert out == Context(f).sigma_h(8)
+    names = [name for name, _ in counting.calls]
+    products = [args for name, args in counting.calls if name == "multiply"]
+    created = [args[0] for name, args in counting.calls if name == "create_decimal"]
+    assert len(products) == 27 and sum(x is y for x, y in products) == 5
+    assert len(created) <= 49 and sum(map(len, created)) <= 6_200_000
+    assert "add" not in names and set(names) <= {"create_decimal", "multiply", "subtract", "scaleb"}
 
 
 @NEEDS_LIBMPDEC
@@ -548,21 +624,27 @@ def test_cyclotomic_product_convolves_in_words(monkeypatch):
 
 
 def _stepped(rng, length, offset, s, size):
-    """length entries, nonzero only at offset, offset + s, ...: mixed signs, a few zeros."""
+    """length entries, nonzero only at offset, offset + s, ...: mixed signs, a few zeros.
+
+    The first two are nonzero, so that the step is s and no multiple of it.
+    """
     out = [0] * length
     for i in range(offset, length, s):
         out[i] = rng.choice([0, 1, -1]) * rng.randint(1, 10 ** size)
     out[offset] = out[offset] or 1
+    out[offset + s] = out[offset + s] or 1
     return out
 
 
 @pytest.mark.parametrize("pays", [False, True], ids=["sweep", "kronecker"])
 @pytest.mark.parametrize("length", [31, 32, 33, 200])
 def test_convolution_by_step_matches_schoolbook(monkeypatch, length, pays):
-    # operands in t^o K[t^s] convolve every s-th entry when both have 32
-    # entries or more; the compressed product of 700-digit entries takes
-    # the sweep or, long enough, the substitution _kronecker_pays is forced
-    # to choose here, and that of one-digit entries packed words
+    # when both operands have 32 entries or more and one lies in t^o K[t^s],
+    # it is taken every s-th entry and the other is split into its nonzero
+    # residue classes mod s, one call each; two operands of one step leave
+    # one class.  The compressed product of 700-digit entries takes the
+    # sweep or, long enough, the substitution _kronecker_pays is forced to
+    # choose here, and that of one-digit entries packed words
     monkeypatch.setattr(field, "_kronecker_pays", lambda a, b, ba, bb, need: pays)
     calls = []
     convolve = field._convolve
@@ -583,10 +665,28 @@ def test_convolution_by_step_matches_schoolbook(monkeypatch, length, pays):
                 assert len(calls) == (2 if s > 1 and len(b) >= 32 else 1)
                 if s > 1 and len(b) >= 32:
                     assert calls[1] == (len(a[oa::s]), len(b[ob::s]))
-                    a[oa + s * 3 + 1] = -5  # the step shows in the first entries, not in all
+                    # only a stepped: a dense b splits into all s classes
+                    dense = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in b]
+                    calls.clear()
+                    assert field._convolve(a, dense) == ref_convolve(a, dense)
+                    assert calls[1:] == [(len(a[oa::s]), len(dense[r::s])) for r in range(s)]
+                    # only b stepped: a's step breaks past its first entries, so b is
+                    # taken every s-th entry and each nonzero class of a is one call
+                    a[oa + s * 3 + 1] = -5
+                    classes = [r for r in range(s) if any(a[r::s])]
                     calls.clear()
                     assert field._convolve(a, b) == ref_convolve(a, b)
-                    assert len(calls) == 1
+                    assert len(calls) == 1 + len(classes) == 3
+                    assert all(n == len(b[ob::s]) for n, _ in calls[1:])
+    for oa, ob in [(0, 0), (1, 2), (3, 1)] * (length >= 32):
+        # steps 2 and 3: the larger is taken, and the classes of the other,
+        # each in t^o K[t^2] again, may compress once more
+        a = _stepped(rng, length, oa, 2, 700)
+        b = _stepped(rng, length, ob, 3, 1)
+        calls.clear()
+        assert field._convolve(a, b) == ref_convolve(a, b)
+        assert field._convolve(b, a) == ref_convolve(a, b)
+        assert calls[1][0] == len(b[ob::3])
     zero = [0] * length  # an all-zero, untrimmed operand
     a = _stepped(rng, length, 1, 2, 1)
     assert field._convolve(a, zero) == field._convolve(zero, a) == [0] * (2 * length - 1)
