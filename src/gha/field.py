@@ -3,7 +3,10 @@ and the integer kernel that does the arithmetic of scalars and polynomials.
 
 An element of Q(zeta_m) is given by its coordinates with respect to the
 power basis {zeta^j : 0 <= j < phi(m)}, reduced modulo the m-th cyclotomic
-polynomial.  m = 1 is identified with Q itself (phi = 1).
+polynomial: a power e >= p folds onto e - p, as zeta^m = 1 (p = m) for odd
+m and zeta^(m/2) = -1 (p = m/2) for even m, and only the powers left in
+[phi, p) go through the terms of Phi_m.  m = 1 is identified with Q
+itself (phi = 1).
 
 The kernel holds rationals as the pair (num, den): Python ints over one
 positive common denominator, in lowest terms, so equal values are equal
@@ -259,12 +262,11 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     signed 64-bit word, and for wider products decimal (_convolve_ks,
     libmpdec's transform) where _kronecker_pays finds it cheaper than the
     sweep.  The rest, shorter operands among them, take the schoolbook
-    sweep: one slice of the longer operand per nonzero entry of the
-    shorter.  Without libmpdec, only decimal is left out.
+    sweep: one slice of a per nonzero entry of b, so _mul puts second the
+    operand whose walk is cheaper, over Q the shorter and over Q(zeta_m)
+    the sparser.  Without libmpdec, only decimal is left out.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    lb = len(b)
+    lb = min(len(a), len(b))
     if lb >= 32 and (sa := _step(a)) and (sb := _step(b)):
         (o, s), stepped, other = (sa, a, b) if sa[1] >= sb[1] else (sb, b, a)
         if s > 1:
@@ -282,7 +284,7 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
         if _KRONECKER is not None and _kronecker_pays(a, b, ba, bb, need):
             return _convolve_ks(a, b, need)
     n = len(a)
-    out = [0] * (n + lb - 1)
+    out = [0] * (n + len(b) - 1)
     for j, y in enumerate(b):
         if y:
             out[j:j + n] = [s + y * x for s, x in zip(out[j:j + n], a)]
@@ -361,7 +363,7 @@ def _slot_digits(need: int) -> int:
 
 
 def _kronecker_pays(a: list[int], b: list[int], ba: int, bb: int, need: int) -> bool:
-    """Whether _convolve_ks is cheaper than the schoolbook sweep, for len(a) >= len(b).
+    """Whether _convolve_ks is cheaper than the schoolbook sweep, a and b in either order.
 
     ba and bb are _bits(a) and _bits(b), and need the product's bound, all
     of which _convolve has computed; it asks only for products too wide for
@@ -378,6 +380,8 @@ def _kronecker_pays(a: list[int], b: list[int], ba: int, bb: int, need: int) -> 
     as core.multiply forms).
     With fewer than 32 nonzero entries in b it wins too rarely to scan for.
     """
+    if len(a) < len(b):
+        a, b, ba, bb = b, a, bb, ba
     la, lb = len(a), len(b)
     if (nb := lb - b.count(0)) < 32:
         return False
@@ -442,18 +446,25 @@ def _restride(num: list[int], old: int, new: int, rows: int) -> list[int]:
 def _reduce(num: list[int], field: "FieldDesc", stride: int) -> list[int]:
     """Rows of stride ints reduced mod Phi_m and packed again at stride phi.
 
-    zeta^e = -sum c_t zeta^(e - phi + t), applied from the top power down
-    through the nonzero terms of Phi_m only.
+    Top down, in two steps; any stride, and a last row shorter than the rest.
+    Fold: zeta^p is 1 for odd m, p = m, and -1 for even m, p = m/2, so each
+    power e >= p goes onto e - p with one add or subtract per row.  Cascade:
+    each power left in [phi, p) is zeta^e = -sum c_t zeta^(e - phi + t),
+    through the nonzero terms of Phi_m only.  A step writes lower powers only.
     """
-    phi = field.degree
+    phi, m = field.degree, field.m
     if stride > phi:
+        p, sign = (m, 1) if m & 1 else (m >> 1, -1)
+        for e in range(stride - 1, p - 1, -1):
+            for i in range(e, len(num), stride):
+                num[i - p] += sign * num[i]
         terms = [(t, c) for t, c in enumerate(field._cyclotomic[:-1]) if c]
-        for e in range(stride - 1, phi - 1, -1):  # a pass writes lower powers only
+        for e in range(min(stride, p) - 1, phi - 1, -1):
             for i in range(e, len(num), stride):
                 c = num[i]
                 if c:
-                    for t, p in terms:
-                        num[i - phi + t] -= p * c
+                    for t, q in terms:
+                        num[i - phi + t] -= q * c
     return _restride(num, stride, phi, len(num) // stride)
 
 
@@ -475,7 +486,9 @@ def _mul(a: list[int], b: list[int], field: "FieldDesc") -> list[int]:
     convolves the rows spread to stride ha + hb + 1, ha and hb the highest
     zeta powers in a and b, so no power of a row product reaches the next
     row; only a stride above phi needs reducing mod Phi_m.  A square, b is
-    a, is spread once, so that _convolve sees one operand twice.
+    a, is spread once, so that _convolve sees one operand twice.  The
+    operand the sweep walks goes second: over Q the shorter, with no zero
+    count, and over Q(zeta_m) the sparser spread row.
     """
     if not a or not b:
         return []
@@ -486,10 +499,12 @@ def _mul(a: list[int], b: list[int], field: "FieldDesc") -> list[int]:
     if len(a) == phi and a[0] == 1 and a.count(0) == phi - 1:
         return list(b)
     if phi == 1:
-        return _convolve(a, b)
+        return _convolve(a, b) if len(a) >= len(b) else _convolve(b, a)
     stride = max(_top(a, phi) + _top(b, phi) + 1, 1)
     wa = _restride(a, phi, stride, len(a) // phi)
     wb = wa if b is a else _restride(b, phi, stride, len(b) // phi)
+    if (len(wb) - wb.count(0)) * (len(wa) + 1) > (len(wa) - wa.count(0)) * (len(wb) + 1):
+        wa, wb = wb, wa  # a slice costs its entries and one step
     return _reduce(_convolve(wa, wb), field, stride)
 
 

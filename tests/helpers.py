@@ -1,7 +1,9 @@
 """Seeded random builders and reference arithmetic shared by the test modules.
 
 Everything random takes an explicit random.Random so failures reproduce
-from the seed alone.  The scalar references share no code with the package;
+from the seed alone.  The scalar references share no code with the package,
+apart from ref_reduce, the reduction mod Phi_m as one cascade through the
+terms of Phi_m, which reads the field's Phi_m and packs with _restride;
 the derivation references build on its product and differ only in how they
 expand the Leibniz rule.  The normal form of y^k x^j is rebuilt from the
 central element z with Poly arithmetic alone, and expression texts are
@@ -10,6 +12,7 @@ read a second time by a character-loop parser.
 
 from __future__ import annotations
 
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -17,7 +20,7 @@ from typing import NamedTuple
 
 from gha.core import AlgebraElement, Context, generators, multiply
 from gha.errors import ParseError, UnsupportedCase
-from gha.field import FieldDesc, FieldElement, _text_int, divisors
+from gha.field import FieldDesc, FieldElement, _restride, _text_int, divisors
 from gha.parser import MAX_NESTING, Add, Expr, Mul, Neg, Num, Pow, Sub, Sym
 from gha.poly import Poly, sigma_power_h
 
@@ -45,6 +48,24 @@ def ref_mul(m, a, b):
     return tuple(prod[:phi])
 
 
+def ref_reduce(num: list[int], field: FieldDesc, stride: int) -> list[int]:
+    """Rows of stride ints reduced mod Phi_m and packed again at stride phi.
+
+    zeta^e = -sum c_t zeta^(e - phi + t), applied from the top power down
+    through the nonzero terms of Phi_m only.
+    """
+    phi = field.degree
+    if stride > phi:
+        terms = [(t, c) for t, c in enumerate(field._cyclotomic[:-1]) if c]
+        for e in range(stride - 1, phi - 1, -1):  # a pass writes lower powers only
+            for i in range(e, len(num), stride):
+                c = num[i]
+                if c:
+                    for t, p in terms:
+                        num[i - phi + t] -= p * c
+    return _restride(num, stride, phi, len(num) // stride)
+
+
 def digits(n: int) -> str:
     """Decimal digits of n in chunks of 600, each under 640, the lowest int/str digit limit."""
     sign, n, chunks = "-" if n < 0 else "", abs(n), []
@@ -54,17 +75,24 @@ def digits(n: int) -> str:
     return sign + str(n) + "".join(reversed(chunks))
 
 
-def line_events(func, run) -> tuple:
+def line_events(func, run, at: str | None = None) -> tuple:
     """run()'s value, and the line events it makes inside func's own code, a count of its loop steps.
 
     A clock-free measure of work: sys.settrace is set only for the call and
-    traces no frame of any other code.
+    traces no frame of any other code.  With `at`, only the steps into the
+    first line of func's source that contains that text are counted, each
+    once, also where Python 3.12 inlines a comprehension that loops on it.
     """
-    code, events = func.__code__, 0
+    code, events, line, last = func.__code__, 0, None, None
+    if at is not None:
+        source, first = inspect.getsourcelines(func)
+        line = first + next(i for i, text in enumerate(source) if at in text)
 
     def local(frame, event, arg):
-        nonlocal events
-        events += event == "line"
+        nonlocal events, last
+        if event == "line":
+            events += line is None or frame.f_lineno == line != last
+            last = frame.f_lineno
         return local
 
     previous = sys.gettrace()

@@ -21,7 +21,7 @@ from gha.field import FieldDesc, FieldElement, _convolve_ks, _int_text, _text_in
 from gha.parser import parse_element, parse_poly  # noqa: E402
 from gha.poly import Poly, poly_gcd  # noqa: E402
 
-from .helpers import PHI, digits, ref_mul  # noqa: E402
+from .helpers import PHI, digits, line_events, ref_mul, ref_reduce  # noqa: E402
 
 FIELDS = sorted(PHI)
 
@@ -761,3 +761,135 @@ def test_element_print_parse_round_trip(c):
     assert parse_element(e.to_text(), ctx) == e
     scalar_value = FieldElement(ctx.field, a)
     assert parse_element(str(scalar_value), ctx) == AlgebraElement.from_scalar(ctx, scalar_value)
+
+
+# --- the reduction mod Phi_m: fold by the period of zeta, then the cascade
+
+
+REDUCE_M = list(range(1, 31)) + [60, 105, 210]  # even, prime and prime-power m, and phi = 48
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(REDUCE_M).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(1, 3 * m), st.integers(0, 6), st.integers(0, 3 * m - 1), st.randoms())))
+def test_reduce_matches_the_cascade(c):
+    # any stride, also below phi, 0-6 whole rows and a partial last row, and
+    # signed entries up to 2^200, some zero
+    m, stride, rows, extra, rng = c
+    desc = FieldDesc(m)
+    num = [rng.choice((0, 1, -1)) * rng.getrandbits(rng.choice((1, 30, 200)))
+           for _ in range(rows * stride + extra % stride)]
+    assert field._reduce(list(num), desc, stride) == ref_reduce(list(num), desc, stride)
+
+
+def _ref_rows(m, a, b):
+    """The product of two lists of integer rows of Q(zeta_m), by helpers.ref_mul, as ints."""
+    phi = len(PHI[m]) - 1
+    ra = [tuple(map(Fraction, a[i:i + phi])) for i in range(0, len(a), phi)]
+    rb = [tuple(map(Fraction, b[i:i + phi])) for i in range(0, len(b), phi)]
+    out = [ref_zero(m)] * (len(ra) + len(rb) - 1)
+    for i, x in enumerate(ra):
+        for j, y in enumerate(rb):
+            out[i + j] = ref_add(out[i + j], ref_mul(m, x, y))
+    return [int(v) for row in out for v in row]
+
+
+@pytest.mark.parametrize("m", FIELDS)
+def test_row_products_match_the_reference(m):
+    # 1-25 rows each side, rows whose zeta powers stop low or are sparse, so
+    # that strides vary and the sweep walks either operand, and squares
+    desc, phi = FieldDesc(m), len(PHI[m]) - 1
+    rng = random.Random(m)
+
+    def rows(n):
+        top = rng.randint(0, phi - 1)
+        return [rng.choice((0, 0, 1, -1)) * rng.randint(1, 10 ** 6) if j % phi <= top else 0
+                for j in range(n * phi)]
+
+    for ra in range(1, 26):
+        a, b = rows(ra), rows(rng.randint(1, 25))
+        assert field._mul(a, b, desc) == _ref_rows(m, a, b)
+        assert field._mul(b, a, desc) == _ref_rows(m, a, b)
+        assert field._mul(a, a, desc) == _ref_rows(m, a, a)
+
+
+@pytest.mark.parametrize("m", REDUCE_M)
+def test_zeta_power_matches_the_cascade(m):
+    desc = FieldDesc(m)
+    phi = desc.degree
+    for e in range(3 * m):
+        row = [0] * max(e % m + 1, phi)
+        row[e % m] = 1
+        assert FieldElement.zeta_power(desc, e).num == tuple(ref_reduce(row, desc, len(row)))
+    if m in PHI:  # zeta^e as e products by zeta (by 1 over Q) in the reference
+        zeta = tuple(Fraction(j == min(1, phi - 1)) for j in range(phi))
+        want = (Fraction(1),) + (Fraction(0),) * (phi - 1)
+        for e in range(3 * m):
+            assert FieldElement.zeta_power(desc, e).coords == want
+            want = ref_mul(m, want, zeta)
+
+
+@pytest.mark.parametrize("chain", [(3, 15), (4, 12, 60), (7, 14)])
+def test_embedding_matches_the_cascade(chain):
+    # the image of zeta_m is zeta_M^(M/m); every row of a scalar or a
+    # polynomial goes through one reduction, and a chain of embeddings
+    # agrees with the direct one
+    rng = random.Random(sum(chain))
+    fields = [FieldDesc(m) for m in chain]
+    source = fields[0]
+    phi = source.degree
+    scalars = [FieldElement(source, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(phi)])
+               for _ in range(6)]
+    polys = [Poly(source, scalars[i:i + 3]) for i in range(4)]
+    for target in fields[1:]:
+        step = target.m // source.m
+        for x in scalars + polys:
+            rows = len(x.num) // phi
+            stride = (phi - 1) * step + 1
+            row = [0] * (rows * stride)
+            for j in range(phi):
+                row[j * step::stride] = x.num[j::phi]
+            image = x.embed(target)
+            assert image.num == tuple(field._trim(ref_reduce(row, target, stride), target.degree))
+            assert image.den == x.den
+        assert FieldElement.zeta(source).embed(target) == FieldElement.zeta_power(target, step)
+        for x, y in zip(scalars, scalars[1:]):
+            assert (x * y).embed(target) == x.embed(target) * y.embed(target)
+    for x in scalars + polys:
+        hop = x
+        for target in fields[1:]:
+            hop = hop.embed(target)
+        assert hop == x.embed(fields[-1])
+
+
+@pytest.mark.parametrize("m,parent", [(7, 1787), (12, 545)])
+def test_reduction_of_a_spread_product_folds_before_the_cascade(m, parent):
+    # 3 dense rows by 20 over Q(zeta_7), spread to stride 11: the powers 10..7
+    # fold onto 3..0, one add each, and only zeta^6 goes through the six
+    # terms of Phi_7, 10 operations a row where the cascade alone made 30.
+    # Over Q(zeta_12), stride 7: zeta^6 = -1 folds and zeta^5, zeta^4 take
+    # the two terms of Phi_12, 5 where the cascade made 6.  `parent` is the
+    # line events of the cascade alone on these operands.
+    desc = FieldDesc(m)
+    phi = desc.degree
+    rng = random.Random(m)
+    a = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(3 * phi)]
+    b = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(20 * phi)]
+    out, events = line_events(field._reduce, lambda: field._mul(a, b, desc))
+    assert out == _ref_rows(m, a, b)
+    assert events <= (parent // 2 if m == 7 else parent), events
+
+
+def test_spread_product_sweeps_the_sparser_row():
+    # over Q(zeta_12) one row up to zeta^3 (spread to 5 entries, 4 nonzero)
+    # times four rows up to zeta (20 entries, 2 nonzero), a shape a round of
+    # the cyclotomic benchmark forms 240 times: the sweep walks the 2 nonzero
+    # entries across 5, not the 4 across 20, in either order
+    q12 = FieldDesc(12)
+    q12._cyclotomic  # computed once, by products of its own
+    a = [1, -2, 3, 4]
+    b = [0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, -7, 0, 0]
+    for x, y in [(a, b), (b, a)]:
+        out, slices = line_events(field._convolve, lambda: field._mul(x, y, q12), at="out[j:j + n] =")
+        assert out == _ref_rows(12, a, b)
+        assert slices == 2
