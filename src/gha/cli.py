@@ -12,26 +12,12 @@ import functools
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import AlgebraElement, Context, commutator, sigma_h0
 from .errors import GhaError, ParseError
 from .field import RATIONALS, FieldDesc, _int_text, _ratio_text, _text_int, set_degree_cap
-from .morphisms import (
-    DerivationSpec,
-    automorphism_group,
-    check_derivation,
-    classify_locally_finite,
-)
 from .parser import parse_element, parse_poly
 from .poly import Poly
-from .structure import (
-    admissible_generator_gradings,
-    center_membership,
-    classify,
-    noetherian_witness,
-    zh_membership,
-)
 
 
 def _field_desc(text: str) -> FieldDesc:
@@ -144,19 +130,25 @@ _JSON_WORDS = {None: "null", True: "true", False: "false"}
 
 def _json_text(value) -> str:
     """json.dumps(value) of a report, also for ints of more digits than int.__repr__ writes."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{_json_str(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(map(_json_text, value)) + "]"
-    if value is None or isinstance(value, bool):
-        return _JSON_WORDS[value]
-    return _int_text(value)
+    from json.encoder import encode_basestring_ascii as string  # once per report, only under --json
+
+    def text(value) -> str:
+        if isinstance(value, str):
+            return string(value)
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{string(k)}: {text(v)}" for k, v in value.items()) + "}"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(text, value)) + "]"
+        if value is None or isinstance(value, bool):
+            return _JSON_WORDS[value]
+        return _int_text(value)
+    return text(value)
 
 
 # --- subcommands -------------------------------------------------------------
-# Each builds and returns only the requested output: JSON data or text.
+# Each builds and returns only the requested output: JSON data or text.  The
+# ones that use structure or morphisms import them when called, so that a
+# launch loads only the engine and what its subcommand runs.
 
 
 def _element_out(args, e: AlgebraElement):
@@ -182,6 +174,8 @@ def _cmd_commutator(ctx, args):
 
 
 def _cmd_classify(ctx, args):
+    from .structure import classify
+
     c = classify(ctx)
     if args.json:
         return {
@@ -201,6 +195,8 @@ def _cmd_classify(ctx, args):
 
 
 def _cmd_center(ctx, args):
+    from .structure import center_membership
+
     p = center_membership(parse_element(args.expr, ctx))
     if p is None:
         return {"in_center": False, "poly": None} if args.json else "none"
@@ -208,6 +204,8 @@ def _cmd_center(ctx, args):
 
 
 def _cmd_zh_member(ctx, args):
+    from .structure import zh_membership
+
     comps = zh_membership(parse_element(args.expr, ctx))
     if comps is None:
         return {"member": False, "components": None} if args.json else "none"
@@ -218,6 +216,8 @@ def _cmd_zh_member(ctx, args):
 
 
 def _cmd_noetherian(ctx, args):
+    from .structure import noetherian_witness
+
     # the ideal is (f) for every n (see noetherian_witness): one report, its gcd formatted once
     (r,) = noetherian_witness(ctx, 0)
     if args.json:
@@ -229,6 +229,8 @@ def _cmd_noetherian(ctx, args):
 
 
 def _cmd_gradings(ctx, args):
+    from .structure import admissible_generator_gradings
+
     family = admissible_generator_gradings(ctx)
     if args.json:
         return {"generator": list(family.generator), "all_integer_multiples": True}
@@ -236,6 +238,8 @@ def _cmd_gradings(ctx, args):
 
 
 def _cmd_aut(ctx, args):
+    from .morphisms import automorphism_group
+
     group = automorphism_group(ctx)
     a, b = group.generator
     if args.json:
@@ -253,7 +257,9 @@ def _cmd_aut(ctx, args):
     return text
 
 
-def _parse_derivation(ctx, args) -> DerivationSpec:
+def _parse_derivation(ctx, args):
+    from .morphisms import DerivationSpec
+
     return DerivationSpec(
         ctx,
         parse_element(args.dx, ctx),
@@ -263,11 +269,15 @@ def _parse_derivation(ctx, args) -> DerivationSpec:
 
 
 def _cmd_derivation_check(ctx, args):
+    from .morphisms import check_derivation
+
     ok = check_derivation(_parse_derivation(ctx, args))
     return {"is_derivation": ok} if args.json else str(ok).lower()
 
 
 def _cmd_derivation_classify(ctx, args):
+    from .morphisms import classify_locally_finite
+
     lam = classify_locally_finite(_parse_derivation(ctx, args))
     if lam is None:
         return {"lambda": None} if args.json else "none"

@@ -22,9 +22,9 @@ read off the product y * theta.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import FieldMismatch, UnsupportedCase
 from .field import FieldDesc, FieldElement, _add, _int_text, _mul, _Ring, _trim, check_degree, power
@@ -87,11 +87,7 @@ class Context:
         return f"Context(f = {self.f.to_text()} over {self.field})"
 
 
-class Generators(NamedTuple):
-    x: "AlgebraElement"
-    y: "AlgebraElement"
-    h: "AlgebraElement"
-    z: "AlgebraElement"
+Generators = namedtuple("Generators", "x y h z")  # of AlgebraElements; a namedtuple keeps typing unloaded
 
 
 class AlgebraElement(_Ring):

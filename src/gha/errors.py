@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 class GhaError(Exception):
     """Base class for every error raised by this package."""
@@ -32,7 +30,7 @@ class ParseError(GhaError):
     in "é²" the "²" is at offset 1, though its bytes start at 2.
     """
 
-    def __init__(self, pos: int, expected: Iterable[str], found: str = ""):
+    def __init__(self, pos: int, expected: "Iterable[str]", found: str = ""):
         self.pos = pos
         self.expected = frozenset(expected)
         self.found = found

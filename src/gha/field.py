@@ -253,9 +253,10 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     t^o K[t^s] for a step s > 1 (its nonzero entries at o, o + s, o + 2s,
     ...), the operand of the larger step is taken every s-th entry and the
     other is split into its s residue classes, each from its first nonzero
-    entry: each nonzero class is convolved once with the stepped one and
-    written back at stride s from its own offset.  Two operands of one step
-    leave one nonzero class, and a square one call.
+    entry: each nonzero class is convolved once with the stepped one, the
+    longer of the two first, and written back at stride s from its own
+    offset.  Two operands of one step leave one nonzero class, and a square
+    one call.
     Otherwise, with a shorter operand of _WORD_LENGTH entries or more,
     need, the bits that hold twice any entry of the product, decides:
     packed words (_convolve_words) when need < 64, so every entry fits a
@@ -273,7 +274,7 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
             short = stepped[o::s]
             out = [0] * (len(a) + len(b) - 1)
             for q, part in [(o, short)] if other is stepped else _classes(other, s):
-                c = _convolve(short, part)
+                c = _convolve(short, part) if len(short) >= len(part) else _convolve(part, short)
                 out[o + q:o + q + s * len(c):s] = c
             return out
     if lb >= _WORD_LENGTH:

@@ -21,14 +21,13 @@ import operator
 import re
 from functools import partial
 from fractions import Fraction
-from typing import Union
 
 from .core import AlgebraElement, Context, generators
 from .errors import ParseError
 from .field import RATIONALS, FieldDesc, FieldElement, _text_int, _Value
 from .poly import Poly
 
-Expr = Union["Num", "Sym", "Add", "Sub", "Mul", "Neg", "Pow"]
+Expr = "Num | Sym | Add | Sub | Mul | Neg | Pow"  # the node types, as an annotation string
 
 
 class Num(_Value):

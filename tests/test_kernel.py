@@ -636,13 +636,23 @@ def _stepped(rng, length, offset, s, size):
     return out
 
 
+def _class_calls(n, v, s):
+    """The calls that convolve n stepped entries with each nonzero class of v mod s, the longer first.
+
+    Each class runs from its first nonzero entry.
+    """
+    classes = [part[next(i for i, x in enumerate(part) if x):] for part in (v[r::s] for r in range(s)) if any(part)]
+    return [(max(n, len(part)), min(n, len(part))) for part in classes]
+
+
 @pytest.mark.parametrize("pays", [False, True], ids=["sweep", "kronecker"])
 @pytest.mark.parametrize("length", [31, 32, 33, 200])
 def test_convolution_by_step_matches_schoolbook(monkeypatch, length, pays):
     # when both operands have 32 entries or more and one lies in t^o K[t^s],
     # it is taken every s-th entry and the other is split into its nonzero
-    # residue classes mod s, one call each; two operands of one step leave
-    # one class.  The compressed product of 700-digit entries takes the
+    # residue classes mod s, one call each with the longer operand first, so
+    # that the sweep walks the shorter; two operands of one step leave one
+    # class.  The compressed product of 700-digit entries takes the
     # sweep or, long enough, the substitution _kronecker_pays is forced to
     # choose here, and that of one-digit entries packed words
     monkeypatch.setattr(field, "_kronecker_pays", lambda a, b, ba, bb, need: pays)
@@ -664,12 +674,13 @@ def test_convolution_by_step_matches_schoolbook(monkeypatch, length, pays):
                 assert field._convolve(a, b) == ref_convolve(a, b)
                 assert len(calls) == (2 if s > 1 and len(b) >= 32 else 1)
                 if s > 1 and len(b) >= 32:
-                    assert calls[1] == (len(a[oa::s]), len(b[ob::s]))
+                    assert calls[1:] == _class_calls(len(a[oa::s]), b, s)
                     # only a stepped: a dense b splits into all s classes
                     dense = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in b]
                     calls.clear()
                     assert field._convolve(a, dense) == ref_convolve(a, dense)
-                    assert calls[1:] == [(len(a[oa::s]), len(dense[r::s])) for r in range(s)]
+                    assert calls[1:] == _class_calls(len(a[oa::s]), dense, s)
+                    assert len(calls) == 1 + s
                     # only b stepped: a's step breaks past its first entries, so b is
                     # taken every s-th entry and each nonzero class of a is one call
                     a[oa + s * 3 + 1] = -5
@@ -677,7 +688,7 @@ def test_convolution_by_step_matches_schoolbook(monkeypatch, length, pays):
                     calls.clear()
                     assert field._convolve(a, b) == ref_convolve(a, b)
                     assert len(calls) == 1 + len(classes) == 3
-                    assert all(n == len(b[ob::s]) for n, _ in calls[1:])
+                    assert calls[1:] == _class_calls(len(b[ob::s]), a, s)
     for oa, ob in [(0, 0), (1, 2), (3, 1)] * (length >= 32):
         # steps 2 and 3: the larger is taken, and the classes of the other,
         # each in t^o K[t^2] again, may compress once more
@@ -686,7 +697,7 @@ def test_convolution_by_step_matches_schoolbook(monkeypatch, length, pays):
         calls.clear()
         assert field._convolve(a, b) == ref_convolve(a, b)
         assert field._convolve(b, a) == ref_convolve(a, b)
-        assert calls[1][0] == len(b[ob::3])
+        assert calls[1] == _class_calls(len(b[ob::3]), a, 3)[0]
     zero = [0] * length  # an all-zero, untrimmed operand
     a = _stepped(rng, length, 1, 2, 1)
     assert field._convolve(a, zero) == field._convolve(zero, a) == [0] * (2 * length - 1)
